@@ -4,8 +4,8 @@
 //! coarse-grain one (SparseLU).
 //!
 //! Varies: local queue discipline (depth-first LIFO vs breadth-first
-//! FIFO), the runtime cut-off strategy, and the tied-task scheduling
-//! constraint. Reports time and the runtime's own counters.
+//! FIFO) and the runtime cut-off strategy. Reports time and the runtime's
+//! own counters.
 
 use bots::fib::{fib_parallel, FibMode};
 use bots::sparselu::{sparselu_parallel, BlockMatrix, LuGenerator};
@@ -32,10 +32,6 @@ fn configs(threads: usize) -> Vec<(&'static str, RuntimeConfig)> {
         (
             "adaptive cutoff",
             RuntimeConfig::new(threads).with_cutoff(RuntimeCutoff::Adaptive { low: 2, high: 8 }),
-        ),
-        (
-            "tied constraint off",
-            RuntimeConfig::new(threads).with_tied_constraint(false),
         ),
     ]
 }

@@ -1,8 +1,8 @@
 //! Deterministic interleaving model checker for the runtime's lock-free
 //! protocols.
 //!
-//! The runtime's five protocols — the injector's swap-drain, the slab's
-//! cross-thread reclaim, the taskgroup lease/leave drain claim, the dep
+//! The runtime's five protocols — the injector's swap-drain, the free-list
+//! pool's home-routed reclaim, the taskgroup lease/leave drain claim, the dep
 //! tracker's CLOSED-swap release, and the continuation state machine —
 //! carry `bots_failpoint!` instrumentation at every linearization point.
 //! This crate runs **the real protocol code** (via `bots-runtime`'s

@@ -57,11 +57,19 @@ pub fn all() -> Vec<Scenario> {
         },
         Scenario {
             name: "slab_reclaim",
-            about: "slab owner allocs vs two cross-thread frees on the Treiber reclaim stack",
+            about: "record-pool owner allocs vs two cross-thread frees on the Treiber reclaim stack",
             expect_violation: false,
             ci_exhaustive: true,
             ci_random: true,
             build: build_slab_reclaim,
+        },
+        Scenario {
+            name: "pool_migrated_release",
+            about: "migrated frames return home-0 descriptors from workers 1 and 2 while worker 0 leases",
+            expect_violation: false,
+            ci_exhaustive: true,
+            ci_random: true,
+            build: build_pool_migrated_release,
         },
         Scenario {
             name: "deps_closed_swap",
@@ -265,15 +273,18 @@ fn build_injector_small() -> ScenarioRun {
 }
 
 // ---------------------------------------------------------------------------
-// Slab: owner allocation vs cross-thread Treiber reclaim (slab.rs).
+// Free list: owner allocation vs cross-thread Treiber reclaim
+// (freelist.rs, through the task-record pool).
 // ---------------------------------------------------------------------------
 
 fn build_slab_reclaim() -> ScenarioRun {
-    let slab = Arc::new(mc::Slab::new(2));
+    // Two shards: worker 0 owns the records, the two releasers play
+    // worker 1 (any non-home worker takes the reclaim path).
+    let slab = Arc::new(mc::Slab::new(2, 2));
     // Setup runs on the harness thread (the hook passes it through): carve
     // two records the remote threads will free back concurrently.
-    let (a, _) = unsafe { slab.alloc_init() };
-    let (b, _) = unsafe { slab.alloc_init() };
+    let (a, _) = unsafe { slab.alloc_init(0) };
+    let (b, _) = unsafe { slab.alloc_init(0) };
     // Every address alloc() ever returned, in order. a and b may each
     // reappear at most once (they are freed exactly once).
     let returned = Arc::new(Mutex::new(Vec::<mc::Rec>::new()));
@@ -285,18 +296,18 @@ fn build_slab_reclaim() -> ScenarioRun {
             let (slab, returned) = (Arc::clone(&slab), Arc::clone(&returned));
             Box::new(move || {
                 for _ in 0..2 {
-                    let (r, _) = unsafe { slab.alloc_init() };
+                    let (r, _) = unsafe { slab.alloc_init(0) };
                     returned.lock().unwrap().push(r);
                 }
             })
         },
         {
             let slab = Arc::clone(&slab);
-            Box::new(move || slab.free_remote(a))
+            Box::new(move || assert!(unsafe { slab.release(a, 1) }))
         },
         {
             let slab = Arc::clone(&slab);
-            Box::new(move || slab.free_remote(b))
+            Box::new(move || assert!(unsafe { slab.release(b, 1) }))
         },
     ];
     ScenarioRun {
@@ -310,7 +321,7 @@ fn build_slab_reclaim() -> ScenarioRun {
                 if seen.contains(&a) && seen.contains(&b) {
                     break;
                 }
-                let (r, _) = unsafe { slab.alloc_init() };
+                let (r, _) = unsafe { slab.alloc_init(0) };
                 seen.push(r);
             }
             let mut uniq = seen.clone();
@@ -328,6 +339,154 @@ fn build_slab_reclaim() -> ScenarioRun {
                 return Err(
                     "W1 violated: a remotely-freed record never resurfaced (lost reclaim)".into(),
                 );
+            }
+            Ok(())
+        }),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Free list: releases from a worker that is not the item's home.
+// ---------------------------------------------------------------------------
+
+/// Who holds which pooled descriptor, as the scripts saw it.
+#[derive(Default)]
+struct PoolLedger {
+    /// Descriptors currently leased out (→ leasing worker).
+    live: HashMap<mc::GroupRef, usize>,
+    /// First protocol violation a script observed.
+    violation: Option<String>,
+}
+
+impl PoolLedger {
+    fn leased(&mut self, g: mc::GroupRef, worker: usize, homes: &HashMap<mc::GroupRef, usize>) {
+        if let Some(prev) = self.live.insert(g, worker) {
+            self.violation.get_or_insert(format!(
+                "W2 violated: {g:?} leased by worker {worker} while still leased by worker {prev}"
+            ));
+        }
+        if let Some(&home) = homes.get(&g) {
+            if home != worker {
+                self.violation.get_or_insert(format!(
+                    "{g:?} of home {home} handed out by worker {worker}'s shard"
+                ));
+            }
+        }
+    }
+
+    fn released(&mut self, g: mc::GroupRef) {
+        self.live.remove(&g);
+    }
+}
+
+fn build_pool_migrated_release() -> ScenarioRun {
+    // Three workers' shards. Worker 0 leased `g` and `h` for two taskgroup
+    // frames that then suspended and resumed on workers 1 and 2: each
+    // returns its descriptor from a non-home worker, racing worker 0's own
+    // leases (which may drain the reclaim stack or carve fresh).
+    let pool = Arc::new(mc::Groups::new(3));
+    let (g, _) = unsafe { pool.lease(0) };
+    let (h, _) = unsafe { pool.lease(0) };
+    let homes: Arc<HashMap<mc::GroupRef, usize>> = Arc::new([(g, 0), (h, 0)].into());
+    let ledger = Arc::new(Mutex::new(PoolLedger::default()));
+    {
+        let mut l = ledger.lock().unwrap();
+        l.leased(g, 0, &homes);
+        l.leased(h, 0, &homes);
+    }
+
+    let scripts: Vec<Box<dyn FnOnce() + Send>> = vec![
+        {
+            // Worker 0: two nested taskgroups lease and return at home.
+            let (pool, ledger, homes) =
+                (Arc::clone(&pool), Arc::clone(&ledger), Arc::clone(&homes));
+            Box::new(move || {
+                let mut held = Vec::new();
+                for _ in 0..2 {
+                    let (x, _) = unsafe { pool.lease(0) };
+                    ledger.lock().unwrap().leased(x, 0, &homes);
+                    held.push(x);
+                }
+                for x in held.into_iter().rev() {
+                    ledger.lock().unwrap().released(x);
+                    assert!(!unsafe { pool.release(x, 0) }, "home release went remote");
+                }
+            })
+        },
+        {
+            // Worker 1: the migrated frame returns `g`, then runs a
+            // taskgroup of its own on its own shard.
+            let (pool, ledger, homes) =
+                (Arc::clone(&pool), Arc::clone(&ledger), Arc::clone(&homes));
+            Box::new(move || {
+                ledger.lock().unwrap().released(g);
+                assert!(
+                    unsafe { pool.release(g, 1) },
+                    "migrated release stayed local"
+                );
+                let (x, _) = unsafe { pool.lease(1) };
+                ledger.lock().unwrap().leased(x, 1, &homes);
+                ledger.lock().unwrap().released(x);
+                unsafe { pool.release(x, 1) };
+            })
+        },
+        {
+            // Worker 2: the other migrated frame returns `h`.
+            let (pool, ledger) = (Arc::clone(&pool), Arc::clone(&ledger));
+            Box::new(move || {
+                ledger.lock().unwrap().released(h);
+                assert!(
+                    unsafe { pool.release(h, 2) },
+                    "migrated release stayed local"
+                );
+            })
+        },
+    ];
+    ScenarioRun {
+        scripts,
+        check: Box::new(move || {
+            let mut l = ledger.lock().unwrap();
+            if let Some(v) = l.violation.take() {
+                return Err(v);
+            }
+            if !l.live.is_empty() {
+                return Err(format!(
+                    "{} descriptor(s) still leased after every script",
+                    l.live.len()
+                ));
+            }
+            // Exact ledger: every descriptor ever created is free, on some
+            // shard's local list or reclaim stack.
+            let (created, free) = (pool.created(), unsafe { pool.free_len() });
+            if created != free {
+                return Err(format!(
+                    "ledger violated: {created} descriptors created, {free} free at quiescence"
+                ));
+            }
+            // W1: both migrated descriptors flow back to worker 0. Its
+            // shard holds at most `created` items, so a bounded number of
+            // leases must surface them — or one was lost.
+            let mut drained = Vec::new();
+            for _ in 0..created {
+                let (x, fresh) = unsafe { pool.lease(0) };
+                if fresh {
+                    break;
+                }
+                drained.push(x);
+            }
+            for x in [g, h] {
+                if !drained.contains(&x) {
+                    return Err(format!(
+                        "W1 violated: migrated descriptor {x:?} never returned to its home shard"
+                    ));
+                }
+            }
+            let uniq: std::collections::HashSet<_> = drained.iter().collect();
+            if uniq.len() != drained.len() {
+                return Err("W2 violated: worker 0's shard handed a descriptor out twice".into());
+            }
+            for x in drained {
+                unsafe { pool.release(x, 0) };
             }
             Ok(())
         }),
@@ -480,7 +639,7 @@ struct GroupObs {
 
 fn build_group_lease_leave() -> ScenarioRun {
     let pool = Arc::new(mc::Groups::new(1));
-    let (g, _) = pool.lease(0);
+    let (g, _) = unsafe { pool.lease(0) };
     g.reset();
     g.join(); // the "owner" role
     g.join(); // the "member" role
@@ -578,7 +737,7 @@ fn build_group_lease_leave() -> ScenarioRun {
             // CLAIMED by now; the lease owner's reuse spin must terminate.
             g.await_drain_claim();
             drop(o);
-            pool.release(g, 0);
+            unsafe { pool.release(g, 0) };
             Ok(())
         }),
     }

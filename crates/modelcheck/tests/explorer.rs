@@ -117,7 +117,7 @@ fn pr5_per_clause_regression_is_pinned() {
 
 /// Every tiny real-protocol configuration must survive exhaustive
 /// exploration. This is the model-checking claim of the crate: all
-/// schedules of the real injector / slab / deps / group code on these
+/// schedules of the real injector / free-list / deps / group code on these
 /// configurations uphold W1 (nothing lost), W2 (nothing doubled), and the
 /// exact-ledger bookkeeping.
 #[test]
@@ -125,6 +125,7 @@ fn real_protocols_pass_exhaustive_tiny_configs() {
     for name in [
         "injector_tiny",
         "slab_reclaim",
+        "pool_migrated_release",
         "deps_closed_swap",
         "deps_fanout",
         "group_lease_leave",

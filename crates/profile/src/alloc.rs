@@ -86,11 +86,22 @@ pub fn alloc_calls() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The counters are process-global and libtest runs tests in parallel:
+    /// each test holds this lock so no other test's traffic lands between
+    /// its reads.
+    static EXCLUSIVE: Mutex<()> = Mutex::new(());
+
+    fn exclusive() -> MutexGuard<'static, ()> {
+        EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     // The tests do not install the allocator globally (that would affect the
     // whole test binary); they exercise the raw GlobalAlloc entry points.
     #[test]
     fn tracks_alloc_and_dealloc() {
+        let _serial = exclusive();
         let a = CountingAlloc;
         reset_peak();
         let before = current_bytes();
@@ -105,6 +116,7 @@ mod tests {
 
     #[test]
     fn realloc_adjusts_current() {
+        let _serial = exclusive();
         let a = CountingAlloc;
         let layout = Layout::from_size_align(1024, 8).unwrap();
         let p = unsafe { a.alloc(layout) };
@@ -117,6 +129,7 @@ mod tests {
 
     #[test]
     fn peak_reset() {
+        let _serial = exclusive();
         let a = CountingAlloc;
         let layout = Layout::from_size_align(1 << 16, 8).unwrap();
         let p = unsafe { a.alloc(layout) };

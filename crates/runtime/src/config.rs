@@ -107,14 +107,6 @@ pub struct RuntimeConfig {
     /// per submission with
     /// [`Runtime::submit_with_budget`](crate::Runtime::submit_with_budget)).
     pub region_budget: RegionBudget,
-    /// Historical knob for the tied-task scheduling constraint. Since
-    /// waits suspend their continuation instead of borrowing the worker's
-    /// stack (see [`crate::cont`]), a blocked worker never runs anything
-    /// *nested under* the waiting task — there is nothing left for the
-    /// constraint to forbid, and this flag no longer changes scheduling.
-    /// Kept so configurations written against earlier versions still
-    /// build; tasks keep their tied/untied attribute for introspection.
-    pub enforce_tied_constraint: bool,
     /// Steal attempts across the whole team before a worker considers
     /// parking (each attempt probes every other worker once, in a random
     /// rotation).
@@ -170,7 +162,6 @@ impl Default for RuntimeConfig {
             local_order: LocalOrder::Lifo,
             cutoff: RuntimeCutoff::None,
             region_budget: RegionBudget::Inherit,
-            enforce_tied_constraint: true,
             steal_rounds: 4,
             wake_propagation: true,
             spin_before_park: 64,
@@ -223,14 +214,6 @@ impl RuntimeConfig {
     /// Sets the default per-region task budget.
     pub fn with_region_budget(mut self, budget: RegionBudget) -> Self {
         self.region_budget = budget;
-        self
-    }
-
-    /// Sets the historical tied-constraint flag (a scheduling no-op now
-    /// that blocked waits suspend off the worker; see
-    /// [`enforce_tied_constraint`](Self::enforce_tied_constraint)).
-    pub fn with_tied_constraint(mut self, enforce: bool) -> Self {
-        self.enforce_tied_constraint = enforce;
         self
     }
 
@@ -292,7 +275,6 @@ mod tests {
         assert_eq!(c.local_order, LocalOrder::Lifo);
         assert_eq!(c.cutoff, RuntimeCutoff::None);
         assert_eq!(c.region_budget, RegionBudget::Inherit);
-        assert!(c.enforce_tied_constraint);
         assert!(c.wake_propagation);
         assert_eq!(c.max_live_regions, 0, "shedding is opt-in");
         assert_eq!(c.replay_cache, 64);
@@ -306,7 +288,6 @@ mod tests {
             .with_local_order(LocalOrder::Fifo)
             .with_cutoff(RuntimeCutoff::MaxTasks { per_worker: 8 })
             .with_region_budget(RegionBudget::MaxQueued(32))
-            .with_tied_constraint(false)
             .with_steal_rounds(2)
             .with_wake_propagation(false);
         assert!(!c.wake_propagation);
@@ -314,7 +295,6 @@ mod tests {
         assert_eq!(c.local_order, LocalOrder::Fifo);
         assert_eq!(c.cutoff, RuntimeCutoff::MaxTasks { per_worker: 8 });
         assert_eq!(c.region_budget, RegionBudget::MaxQueued(32));
-        assert!(!c.enforce_tied_constraint);
         assert_eq!(c.steal_rounds, 2);
         let c = c.with_record_chunk(0);
         assert_eq!(c.record_chunk, 1, "chunk size floors at one record");

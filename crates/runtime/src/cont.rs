@@ -14,9 +14,10 @@
 //! a thief. This is the continuation-stealing shape TraceForge uses for
 //! its simulated threads, applied to OpenMP-style waits.
 //!
-//! Continuations are pooled exactly like task records ([`crate::slab`]):
-//! per-worker owner-only free lists plus a lock-free Treiber reclaim
-//! stack for cross-thread release, so a warm suspend/resume cycle
+//! Continuations are pooled like every other runtime object
+//! ([`crate::freelist`]): per-worker owner-only free lists plus a
+//! lock-free Treiber reclaim stack for cross-thread release, so a warm
+//! suspend/resume cycle
 //! performs **zero heap allocations**. A recycled fiber is *live*: it
 //! sits parked inside [`bots_fiber_main`]'s loop at the switch-out point
 //! after finishing its previous task, so re-entering it needs no stack
@@ -52,8 +53,8 @@ use std::alloc::Layout;
 use std::cell::Cell;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, AtomicU8, Ordering};
-use std::sync::Mutex;
 
+use crate::freelist::Pooled;
 use crate::task::TaskRecord;
 
 /// Mounted on a worker, executing.
@@ -168,25 +169,6 @@ impl Continuation {
         Layout::from_size_align(size, 16).expect("fiber stack layout")
     }
 
-    /// Heap-allocates a fresh continuation with a crafted entry context.
-    fn new(home: u16, stack_size: usize) -> NonNull<Continuation> {
-        let stack = unsafe { std::alloc::alloc(Self::stack_layout(stack_size)) };
-        let stack = NonNull::new(stack).expect("fiber stack allocation failed");
-        let cont = Box::leak(Box::new(Continuation {
-            next: AtomicPtr::new(std::ptr::null_mut()),
-            state: AtomicU8::new(RUNNING),
-            home,
-            last_worker: Cell::new(home),
-            ctx: Cell::new(std::ptr::null_mut()),
-            parent_ctx: Cell::new(std::ptr::null_mut()),
-            task: Cell::new(None),
-            stack,
-            stack_size,
-        }));
-        cont.craft();
-        NonNull::from(cont)
-    }
-
     /// Writes the fake switch-out frame a first switch-in "returns"
     /// through: r12 = self (moved to rdi by `bots_fiber_boot`), return
     /// address = `bots_fiber_boot`. Only fresh fibers need this — a
@@ -225,13 +207,6 @@ impl Continuation {
     pub(crate) unsafe fn switch_out(&self) {
         bots_cont_switch(self.ctx.as_ptr(), self.parent_ctx.get());
     }
-
-    unsafe fn destroy(cont: NonNull<Continuation>) {
-        let size = cont.as_ref().stack_size;
-        let stack = cont.as_ref().stack.as_ptr();
-        drop(Box::from_raw(cont.as_ptr()));
-        std::alloc::dealloc(stack, Self::stack_layout(size));
-    }
 }
 
 /// The fiber trampoline target: runs tasks handed to `cont` forever.
@@ -261,159 +236,68 @@ unsafe extern "C" fn bots_fiber_main(cont: *mut Continuation) -> ! {
     }
 }
 
-/// One worker's continuation shard: owner-only free list plus a
-/// cross-thread reclaim stack, the `RecordSlab` split applied to fibers.
-#[repr(align(128))]
-struct ContShard {
-    /// Owner-only free list head (`Continuation::next` links).
-    free: Cell<*mut Continuation>,
-    /// Cross-thread reclaim stack head (Treiber; any thread pushes, the
-    /// owner drains).
-    reclaim: AtomicPtr<Continuation>,
-}
+// Safety: `next` is only the pool's while the fiber is released (`DONE`
+// and detached), and `home` is immutable after `fresh`.
+unsafe impl Pooled for Continuation {
+    /// Fiber stack size in bytes.
+    type Arg = usize;
 
-// Safety: `free` is only touched by the owning worker (the `unsafe`
-// contracts on the owner-side methods); `reclaim` is lock-free.
-unsafe impl Send for ContShard {}
-unsafe impl Sync for ContShard {}
-
-/// Where a continuation lease came from, for the recycling statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ContSource {
-    Recycled,
-    Fresh,
-}
-
-/// The team-wide continuation pool: one shard per worker plus a teardown
-/// registry of every fiber ever created.
-pub(crate) struct ContPool {
-    shards: Box<[ContShard]>,
-    stack_size: usize,
-    all: Mutex<Vec<usize>>,
-}
-
-impl ContPool {
-    pub(crate) fn new(workers: usize, stack_size: usize) -> Self {
-        ContPool {
-            shards: (0..workers.max(1))
-                .map(|_| ContShard {
-                    free: Cell::new(std::ptr::null_mut()),
-                    reclaim: AtomicPtr::new(std::ptr::null_mut()),
-                })
-                .collect(),
+    /// Allocates the fiber stack and crafts the entry context. The stack
+    /// is freed by [`teardown`](Self::teardown) when the pool drops.
+    unsafe fn fresh(slot: *mut Self, home: usize, stack_size: usize) {
+        let stack = std::alloc::alloc(Self::stack_layout(stack_size));
+        let stack = NonNull::new(stack).expect("fiber stack allocation failed");
+        slot.write(Continuation {
+            next: AtomicPtr::new(std::ptr::null_mut()),
+            state: AtomicU8::new(RUNNING),
+            home: home as u16,
+            last_worker: Cell::new(home as u16),
+            ctx: Cell::new(std::ptr::null_mut()),
+            parent_ctx: Cell::new(std::ptr::null_mut()),
+            task: Cell::new(None),
+            stack,
             stack_size,
-            all: Mutex::new(Vec::new()),
-        }
+        });
+        (*slot).craft();
     }
 
-    /// Leases a ready-to-mount continuation: `state` is `RUNNING`,
-    /// `last_worker` is `worker`, and the fiber is either freshly crafted
-    /// or parked live at its take-next-task point.
-    ///
-    /// # Safety
-    /// Only worker `worker`'s thread may call this with its own index.
-    pub(crate) unsafe fn lease(&self, worker: usize) -> (NonNull<Continuation>, ContSource) {
-        let shard = &self.shards[worker];
-        let head = shard.free.get();
-        let (cont, src) = if !head.is_null() {
-            // relaxed-ok: owner-only free list; the link was written by
-            // this thread or handed over by the Acquire drain.
-            shard.free.set((*head).next.load(Ordering::Relaxed));
-            (NonNull::new_unchecked(head), ContSource::Recycled)
-        } else if let Some(cont) = Self::drain_reclaim(shard) {
-            (cont, ContSource::Recycled)
-        } else {
-            let cont = Continuation::new(worker as u16, self.stack_size);
-            self.all.lock().unwrap().push(cont.as_ptr() as usize);
-            (cont, ContSource::Fresh)
-        };
-        // relaxed-ok: the fiber is exclusively ours until dispatch; the
-        // deque push that publishes it supplies the ordering.
-        cont.as_ref().state.store(RUNNING, Ordering::Relaxed);
-        cont.as_ref().last_worker.set(worker as u16);
-        (cont, src)
+    #[inline]
+    fn link(&self) -> &AtomicPtr<Self> {
+        &self.next
     }
 
-    /// Returns a finished (`DONE`) continuation to the pool from worker
-    /// `worker` — its own shard if it owns the fiber, the home shard's
-    /// reclaim stack otherwise.
-    ///
-    /// # Safety
-    /// `cont` must be fully detached (no pending wake, no queued copy),
-    /// and `worker` must be the calling worker's index.
-    pub(crate) unsafe fn release(&self, cont: NonNull<Continuation>, worker: usize) {
-        let home = cont.as_ref().home as usize;
-        if home == worker {
-            // relaxed-ok: owner-only free list; the fiber is detached.
-            cont.as_ref()
-                .next
-                .store(self.shards[home].free.get(), Ordering::Relaxed);
-            self.shards[home].free.set(cont.as_ptr());
-        } else {
-            let shard = &self.shards[home];
-            // relaxed-ok: `head` is only the CAS expectation below.
-            let mut head = shard.reclaim.load(Ordering::Relaxed);
-            loop {
-                // relaxed-ok: the link is published by the Release CAS
-                // below; the owner's Acquire drain is the only reader.
-                cont.as_ref().next.store(head, Ordering::Relaxed);
-                // transition: shard.reclaim: head -> cont (finished fiber
-                // handed back to its home shard; Release publishes the
-                // link and the fiber's parked state to the owner).
-                match shard.reclaim.compare_exchange_weak(
-                    head,
-                    cont.as_ptr(),
-                    Ordering::Release,
-                    Ordering::Relaxed, // relaxed-ok: failure path only retries
-                ) {
-                    Ok(_) => return,
-                    Err(cur) => head = cur,
-                }
-            }
-        }
+    #[inline]
+    fn home(&self) -> usize {
+        self.home as usize
     }
 
-    unsafe fn drain_reclaim(shard: &ContShard) -> Option<NonNull<Continuation>> {
-        let head = shard.reclaim.swap(std::ptr::null_mut(), Ordering::Acquire);
-        let head = NonNull::new(head)?;
-        debug_assert!(shard.free.get().is_null());
-        // relaxed-ok: the Acquire swap above took the whole chain
-        // exclusively; its links can no longer change.
-        shard.free.set(head.as_ref().next.load(Ordering::Relaxed));
-        Some(head)
-    }
-
-    /// Continuations ever created (== the pool's high-water mark of
-    /// concurrently live fibers), for leak checks.
-    pub(crate) fn created(&self) -> usize {
-        self.all.lock().unwrap().len()
-    }
-}
-
-impl Drop for ContPool {
-    fn drop(&mut self) {
-        // Parked fibers are destroyed without unwinding their stacks;
-        // `bots_fiber_main` keeps nothing droppable live across its park.
-        for &cont in self.all.lock().unwrap().iter() {
-            unsafe { Continuation::destroy(NonNull::new_unchecked(cont as *mut Continuation)) };
-        }
+    /// Parked fibers are freed without unwinding their stacks;
+    /// `bots_fiber_main` keeps nothing droppable live across its park.
+    unsafe fn teardown(slot: *mut Self) {
+        let c = &*slot;
+        std::alloc::dealloc(c.stack.as_ptr(), Self::stack_layout(c.stack_size));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::freelist::ShardedPool;
+
+    fn pool(workers: usize) -> ShardedPool<Continuation> {
+        ShardedPool::new(workers, 1, 32 * 1024)
+    }
 
     #[test]
     fn lease_recycles_after_release() {
-        let pool = ContPool::new(2, 32 * 1024);
+        let pool = pool(2);
         unsafe {
-            let (a, src) = pool.lease(0);
-            assert_eq!(src, ContSource::Fresh);
+            let (a, fresh) = pool.lease(0);
+            assert!(fresh);
             let a_ptr = a.as_ptr();
             pool.release(a, 0);
-            let (b, src) = pool.lease(0);
-            assert_eq!(src, ContSource::Recycled);
+            let (b, fresh) = pool.lease(0);
+            assert!(!fresh);
             assert_eq!(b.as_ptr(), a_ptr, "LIFO reuse");
             pool.release(b, 0);
         }
@@ -422,14 +306,14 @@ mod tests {
 
     #[test]
     fn cross_worker_release_flows_home() {
-        let pool = ContPool::new(2, 32 * 1024);
+        let pool = pool(2);
         unsafe {
             let (a, _) = pool.lease(0);
             // Worker 1 finished worker 0's fiber: it lands on shard 0's
             // reclaim stack, and worker 0's next lease drains it back.
-            pool.release(a, 1);
-            let (b, src) = pool.lease(0);
-            assert_eq!(src, ContSource::Recycled);
+            assert!(pool.release(a, 1));
+            let (b, fresh) = pool.lease(0);
+            assert!(!fresh);
             assert_eq!(b.as_ptr(), a.as_ptr());
             pool.release(b, 0);
         }
@@ -438,7 +322,7 @@ mod tests {
 
     #[test]
     fn crafted_frame_is_aligned() {
-        let pool = ContPool::new(1, 32 * 1024);
+        let pool = pool(1);
         unsafe {
             let (c, _) = pool.lease(0);
             let sp = c.as_ref().ctx.get() as usize;

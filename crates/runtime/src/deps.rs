@@ -41,10 +41,12 @@
 //! Concurrent registrants serialise on the mutex; the common kernels
 //! register from a single generator, where the lock is uncontended.
 //!
-//! Blocks, nodes and entries are recycled through pooled free lists: a
-//! local list popped/pushed only under the map mutex, plus a lock-free
-//! reclaim stack for the retire path's cross-thread frees, adopted whole
-//! (one swap) when the local list runs dry — so a **warm dependency chain
+//! Blocks, nodes and entries are recycled through one-shard free-list
+//! pools ([`crate::freelist`]): a local list popped/pushed only under the
+//! map mutex (registration and reset, the only allocating paths, hold it
+//! anyway), plus a lock-free reclaim stack for the retire path's
+//! cross-thread frees, adopted whole (one swap) when the local list runs
+//! dry — so a **warm dependency chain
 //! performs zero heap allocations** (asserted end to end by
 //! `tests/zero_alloc.rs`) and recycling stays O(1) however large the pool
 //! grows (a splice-back pop here was measurably quadratic on long
@@ -95,6 +97,7 @@ use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use crate::freelist::{Pooled, ShardedPool, REMOTE};
 use crate::task::TaskRecord;
 
 /// Initial bucket count of the address map (first use only; the map
@@ -226,138 +229,29 @@ impl Default for ObjEntry {
     }
 }
 
-/// An intrusively pool-linked item.
-trait Pooled: Default {
-    fn pool_link(&self) -> &AtomicPtr<Self>;
-}
-
-impl Pooled for DepBlock {
-    fn pool_link(&self) -> &AtomicPtr<Self> {
-        &self.pool
-    }
-}
-impl Pooled for DepNode {
-    fn pool_link(&self) -> &AtomicPtr<Self> {
-        &self.next
-    }
-}
-impl Pooled for ObjEntry {
-    fn pool_link(&self) -> &AtomicPtr<Self> {
-        &self.next
-    }
-}
-
-/// A recycling pool: a `local` free list popped and pushed **only while
-/// holding the tracker's map mutex** (registration and reset — the only
-/// allocating paths — already hold it, so no second lock is taken), plus
-/// a lock-free `reclaim` stack for the retire path's cross-thread frees,
-/// adopted whole — one swap — when the local list runs dry. Chunks are
-/// owned for the pool's lifetime, so a warm steady state never allocates
-/// and recycling is O(1) regardless of pool size.
-struct Pool<T: Pooled> {
-    /// Map-lock-holder-only free list head.
-    local: Cell<*mut T>,
-    /// Cross-thread free stack: retire pushes, the lock holder drains.
-    reclaim: AtomicPtr<T>,
-    /// Backing chunks (cold; freed when the tracker drops).
-    chunks: Mutex<Vec<Box<[T]>>>,
-}
-
-impl<T: Pooled> Pool<T> {
-    fn new() -> Pool<T> {
-        Pool {
-            local: Cell::new(std::ptr::null_mut()),
-            reclaim: AtomicPtr::new(std::ptr::null_mut()),
-            chunks: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Takes one recycled item, or carves a fresh chunk.
-    ///
-    /// # Safety
-    /// Caller must hold the tracker's map mutex (the `local` half is
-    /// lock-holder-only).
-    unsafe fn alloc(&self) -> NonNull<T> {
-        let head = self.local.get();
-        if let Some(head) = NonNull::new(head) {
-            // relaxed-ok: the local list is map-lock-holder-only; the link
-            // was written under the same lock (or adopted via Acquire).
-            self.local
-                .set(head.as_ref().pool_link().load(Ordering::Relaxed));
-            return head;
-        }
-        // Local list dry: adopt the whole reclaim stack in one swap.
-        let head = self.reclaim.swap(std::ptr::null_mut(), Ordering::Acquire);
-        if let Some(head) = NonNull::new(head) {
-            // relaxed-ok: the Acquire swap above took the whole chain
-            // exclusively; its links can no longer change.
-            self.local
-                .set(head.as_ref().pool_link().load(Ordering::Relaxed));
-            return head;
-        }
-        self.grow()
-    }
-
-    /// Returns an item to the local free list.
-    ///
-    /// # Safety
-    /// Caller must hold the tracker's map mutex.
-    unsafe fn free_local(&self, item: NonNull<T>) {
-        // relaxed-ok: map-lock-holder-only list; the freed item is
-        // unreachable to any other thread.
-        item.as_ref()
-            .pool_link()
-            .store(self.local.get(), Ordering::Relaxed);
-        self.local.set(item.as_ptr());
-    }
-
-    /// Returns an item from *any* thread (the retire path): pushes onto
-    /// the reclaim stack, drained under the map lock on the next dry
-    /// alloc.
-    fn free_reclaim(&self, item: NonNull<T>) {
-        // relaxed-ok: `head` is only the CAS expectation below.
-        let mut head = self.reclaim.load(Ordering::Relaxed);
-        loop {
-            // relaxed-ok: the link is published by the Release CAS below;
-            // the adopting Acquire swap is the only reader.
-            unsafe { item.as_ref() }
-                .pool_link()
-                .store(head, Ordering::Relaxed);
-            // transition: pool.reclaim: head -> item (retired item
-            // re-enters the pool; drained whole under the map lock).
-            match self.reclaim.compare_exchange_weak(
-                head,
-                item.as_ptr(),
-                Ordering::Release,
-                Ordering::Relaxed, // relaxed-ok: failure path only retries
-            ) {
-                Ok(_) => return,
-                Err(cur) => head = cur,
+/// Implements [`Pooled`] for a dependency item: default-constructed,
+/// linked through `$link`, and homed on the tracker's single shard.
+macro_rules! pooled_dep_item {
+    ($t:ty, $link:ident) => {
+        // Safety: `$link` is only the pool's while the item is free (see
+        // its field docs), and every item lives on shard 0.
+        unsafe impl Pooled for $t {
+            type Arg = ();
+            unsafe fn fresh(slot: *mut Self, _home: usize, _: ()) {
+                slot.write(<$t>::default());
+            }
+            fn link(&self) -> &AtomicPtr<Self> {
+                &self.$link
+            }
+            fn home(&self) -> usize {
+                0
             }
         }
-    }
-
-    /// Carves a fresh chunk: the first item is returned, the rest seed the
-    /// local list.
-    ///
-    /// # Safety
-    /// Caller must hold the tracker's map mutex.
-    #[cold]
-    unsafe fn grow(&self) -> NonNull<T> {
-        let chunk: Box<[T]> = (0..POOL_CHUNK).map(|_| T::default()).collect();
-        let first = NonNull::from(&chunk[0]);
-        for item in &chunk[1..] {
-            // relaxed-ok: fresh chunk, map-lock-holder-only list.
-            item.pool_link().store(self.local.get(), Ordering::Relaxed);
-            self.local.set(NonNull::from(item).as_ptr());
-        }
-        self.chunks
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(chunk);
-        first
-    }
+    };
 }
+pooled_dep_item!(DepBlock, pool);
+pooled_dep_item!(DepNode, next);
+pooled_dep_item!(ObjEntry, next);
 
 /// The address map: an open-chained hash table whose entries come from
 /// the tracker's entry pool. Only touched under the tracker's mutex.
@@ -372,16 +266,17 @@ struct AddrMap {
 // mutex.
 unsafe impl Send for AddrMap {}
 
-/// The per-region dependency tracker. See the module docs.
+/// The per-region dependency tracker. See the module docs. The owner of
+/// each pool's single shard is whichever thread holds the map mutex.
 pub(crate) struct DepTracker {
     map: Mutex<AddrMap>,
-    blocks: Pool<DepBlock>,
-    nodes: Pool<DepNode>,
-    entries: Pool<ObjEntry>,
+    blocks: ShardedPool<DepBlock>,
+    nodes: ShardedPool<DepNode>,
+    entries: ShardedPool<ObjEntry>,
 }
 
-// Safety: the map is mutex-guarded and the pools' `local` halves are only
-// touched while holding that same mutex (see `Pool`); the reclaim stacks
+// Safety: the map is mutex-guarded and the pools' owner halves are only
+// touched while holding that same mutex (see above); the reclaim stacks
 // are lock-free structures over pool-owned memory, and the block/node
 // protocols (module docs) govern the raw pointers that cross threads.
 unsafe impl Send for DepTracker {}
@@ -391,9 +286,9 @@ impl DepTracker {
     pub(crate) fn new() -> DepTracker {
         DepTracker {
             map: Mutex::new(AddrMap::default()),
-            blocks: Pool::new(),
-            nodes: Pool::new(),
-            entries: Pool::new(),
+            blocks: ShardedPool::new(1, POOL_CHUNK, ()),
+            nodes: ShardedPool::new(1, POOL_CHUNK, ()),
+            entries: ShardedPool::new(1, POOL_CHUNK, ()),
         }
     }
 
@@ -490,7 +385,7 @@ impl DepTracker {
             // exclusively; its links can no longer change.
             cur = n.next.load(Ordering::Relaxed);
             let succ = n.block.get();
-            self.nodes.free_reclaim(node);
+            self.nodes.release(node, REMOTE);
             // Safety: an unreleased successor's block is kept alive by the
             // successor itself (its own reference is dropped only at its
             // retire, which cannot precede this release).
@@ -504,7 +399,7 @@ impl DepTracker {
         // alive (and pooled) until a later writer displaces them or the
         // tracker resets.
         if let Some(dead) = Self::unref_block(block.as_ptr()) {
-            self.blocks.free_reclaim(dead);
+            self.blocks.release(dead, REMOTE);
         }
     }
 
@@ -529,7 +424,7 @@ impl DepTracker {
                 let w = e.writer.replace(std::ptr::null_mut());
                 if !w.is_null() {
                     if let Some(dead) = Self::unref_block(w) {
-                        unsafe { self.blocks.free_local(dead) };
+                        unsafe { self.blocks.release(dead, 0) };
                     }
                 }
                 let mut r = e.readers.replace(std::ptr::null_mut());
@@ -538,11 +433,11 @@ impl DepTracker {
                     // relaxed-ok: reader lists are map-mutex-guarded.
                     r = n.next.load(Ordering::Relaxed);
                     if let Some(dead) = Self::unref_block(n.block.get()) {
-                        unsafe { self.blocks.free_local(dead) };
+                        unsafe { self.blocks.release(dead, 0) };
                     }
-                    unsafe { self.nodes.free_local(node) };
+                    unsafe { self.nodes.release(node, 0) };
                 }
-                unsafe { self.entries.free_local(entry) };
+                unsafe { self.entries.release(entry, 0) };
             }
         }
         map.len = 0;
@@ -553,7 +448,7 @@ impl DepTracker {
     /// # Safety
     /// Caller must hold the map mutex.
     unsafe fn alloc_block(&self, rec: NonNull<TaskRecord>) -> NonNull<DepBlock> {
-        let block = self.blocks.alloc();
+        let block = self.blocks.lease(0).0;
         let b = block.as_ref();
         // relaxed-ok: the block is exclusively ours until registration
         // publishes it; the guard drop's AcqRel fetch_sub (and the map
@@ -616,7 +511,7 @@ impl DepTracker {
                     }
                     self.edge(unsafe { &*w }, block);
                 }
-                let node = self.nodes.alloc();
+                let node = self.nodes.lease(0).0;
                 // relaxed-ok: ref increments need no ordering (Arc-style);
                 // only the final decrement synchronises (Release + fence).
                 unsafe { block.as_ref() }
@@ -639,7 +534,7 @@ impl DepTracker {
                     }
                     self.edge(unsafe { &*w }, block);
                     if let Some(dead) = Self::unref_block(w) {
-                        self.blocks.free_local(dead);
+                        self.blocks.release(dead, 0);
                     }
                 }
                 // A writer follows every reader registered since the last
@@ -657,9 +552,9 @@ impl DepTracker {
                         self.edge(unsafe { &*rb }, block);
                     }
                     if let Some(dead) = Self::unref_block(rb) {
-                        self.blocks.free_local(dead);
+                        self.blocks.release(dead, 0);
                     }
-                    self.nodes.free_local(node);
+                    self.nodes.release(node, 0);
                 }
                 // relaxed-ok: ref increment, see the Read arm.
                 unsafe { block.as_ref() }
@@ -680,7 +575,7 @@ impl DepTracker {
     unsafe fn edge(&self, pred: &DepBlock, succ: NonNull<DepBlock>) {
         let s = unsafe { succ.as_ref() };
         s.pending.fetch_add(1, Ordering::AcqRel);
-        let node = self.nodes.alloc();
+        let node = self.nodes.lease(0).0;
         unsafe { node.as_ref() }.block.set(succ.as_ptr());
         let mut head = pred.succ.load(Ordering::Acquire);
         // The count-then-push window the protocol is built around: a
@@ -689,7 +584,7 @@ impl DepTracker {
         crate::bots_failpoint!("dep_edge_cas");
         loop {
             if head == closed() {
-                self.nodes.free_local(node);
+                self.nodes.release(node, 0);
                 // Cannot release the task: the registration guard in
                 // `pending` holds until every clause is applied.
                 s.pending.fetch_sub(1, Ordering::AcqRel);
@@ -734,7 +629,7 @@ impl DepTracker {
             // relaxed-ok: bucket chains are map-mutex-guarded.
             cur = e.next.load(Ordering::Relaxed);
         }
-        let entry = self.entries.alloc();
+        let entry = self.entries.lease(0).0;
         let e = unsafe { entry.as_ref() };
         e.addr.set(addr);
         e.writer.set(std::ptr::null_mut());
@@ -766,18 +661,7 @@ impl DepTracker {
     /// Free pooled blocks currently recycled (tests only; racy).
     #[cfg(test)]
     fn pooled_blocks(&self) -> usize {
-        let mut n = 0;
-        for head in [
-            self.blocks.local.get(),
-            self.blocks.reclaim.load(Ordering::Acquire),
-        ] {
-            let mut cur = head;
-            while let Some(b) = NonNull::new(cur) {
-                n += 1;
-                cur = unsafe { b.as_ref() }.pool.load(Ordering::Relaxed);
-            }
-        }
-        n
+        unsafe { self.blocks.free_len() }
     }
 }
 

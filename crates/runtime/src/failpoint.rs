@@ -2,7 +2,7 @@
 //! in the spirit of tikv's `fail-rs`.
 //!
 //! The four protocols that make the runtime allocation-free — the sharded
-//! injector's swap-drain, the slab reclaim stack, the group lease/leave
+//! injector's swap-drain, the pools' reclaim stack, the group lease/leave
 //! handshake and the dependency tracker's CLOSED-swap — are exactly the
 //! code whose rare interleavings stress tests only hope to hit. A
 //! *failpoint* is a named hook compiled into those paths that CI can arm

@@ -6,9 +6,9 @@
 //! group wait blocks until the count drains. It used to live behind an
 //! `Arc<Group>` — one `malloc` per `taskgroup`, which is one per *frame* in
 //! every recursive BOTS kernel, so no kernel body was actually
-//! allocation-free. Groups are now plain descriptors recycled through a
-//! per-worker free list ([`GroupPool`]), mirroring the region-descriptor
-//! pool in spirit: a steady-state `taskgroup` touches no allocator at all.
+//! allocation-free. Groups are now plain descriptors recycled through the
+//! runtime's per-worker pool ([`crate::freelist`]): a steady-state
+//! `taskgroup` touches no allocator at all.
 //!
 //! ## Lifetime protocol (who frees, and why it is sound)
 //!
@@ -34,18 +34,19 @@
 //! completion wake goes through the team-wide progress channel, which does
 //! not touch the group.
 //!
-//! Like the region pool, descriptor memory is never freed while the
-//! runtime lives: `all` owns every descriptor ever created and releases
-//! them when the team shuts down.
+//! The wait may suspend on one worker and resume on another, so the lease
+//! is not always returned on the worker that took it: the descriptor
+//! records its `home` shard, and the release routes it there (through the
+//! home's reclaim stack from any other worker). The pool owns every
+//! descriptor ever created and frees them when the team shuts down.
 //!
 //! [`Scope::taskgroup`]: crate::Scope::taskgroup
 
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::cont::Continuation;
-use crate::local::CacheAligned;
+use crate::freelist::Pooled;
 
 /// A `taskgroup` membership counter: counts every task spawned while the
 /// group is active, transitively. The group wait blocks until it drains —
@@ -57,6 +58,8 @@ pub(crate) struct Group {
     /// waiter has observed `outstanding() == 0` and returned the lease), so
     /// it cannot race with live-group use.
     next: AtomicPtr<Group>,
+    /// The pool shard this descriptor belongs to (immutable).
+    home: u16,
     members: AtomicUsize,
     /// Cooperative `cancel taskgroup` flag: raised by
     /// [`Scope::cancel_group`](crate::Scope::cancel_group), observed by
@@ -80,16 +83,31 @@ pub(crate) struct Group {
 /// Rendezvous sentinel the drain claim swaps into the waiter slot.
 const CLAIMED: usize = 1;
 
-impl Group {
-    fn new() -> Group {
-        Group {
+// Safety: `next` is only the pool's while the descriptor is free, and
+// `home` is immutable after `fresh`.
+unsafe impl Pooled for Group {
+    type Arg = ();
+
+    unsafe fn fresh(slot: *mut Self, home: usize, _: ()) {
+        slot.write(Group {
             next: AtomicPtr::new(std::ptr::null_mut()),
+            home: home as u16,
             members: AtomicUsize::new(0),
             cancelled: AtomicBool::new(false),
             waiter: AtomicPtr::new(std::ptr::null_mut()),
-        }
+        });
     }
 
+    fn link(&self) -> &AtomicPtr<Self> {
+        &self.next
+    }
+
+    fn home(&self) -> usize {
+        self.home as usize
+    }
+}
+
+impl Group {
     /// Raises the group's cancel flag; returns `true` on the transition.
     #[inline]
     pub(crate) fn cancel(&self) -> bool {
@@ -234,115 +252,19 @@ impl Group {
     }
 }
 
-/// The group-descriptor free list: one singly-linked shard per worker,
-/// **owner-only** — unlike the region pool there is no cross-shard probing
-/// and no cross-thread release: a group is leased and released by the same
-/// worker thread (the taskgroup frame never migrates), so each shard is
-/// single-threaded, pops are plain load+store, and the per-worker
-/// population is bounded by that worker's deepest live group interleaving.
-pub(crate) struct GroupPool {
-    shards: Box<[CacheAligned<AtomicPtr<Group>>]>,
-    /// Every descriptor ever allocated (cold path; freed on drop).
-    all: Mutex<Vec<NonNull<Group>>>,
-}
-
-// Safety: each shard is only ever touched by its own worker thread (see
-// the owner-only contract on `lease`/`release`); `all` is mutex-guarded;
-// `Group` is all atomics. The teardown free in `Drop` happens-after every
-// worker has been joined.
-unsafe impl Send for GroupPool {}
-unsafe impl Sync for GroupPool {}
-
-impl GroupPool {
-    pub(crate) fn new(workers: usize) -> GroupPool {
-        GroupPool {
-            shards: (0..workers.max(1))
-                .map(|_| CacheAligned::default())
-                .collect(),
-            all: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Leases a descriptor with zero members. Returns the descriptor and
-    /// whether it had to be freshly allocated (`true`) or came recycled
-    /// from the free list (`false`).
-    ///
-    /// Owner-only: `slot` must be the calling worker's own index. Both ends
-    /// of a shard run on one thread — a group is leased and released by the
-    /// worker executing the taskgroup frame, and frames never migrate — so
-    /// the pop is a plain load + store, no RMW (the atomics exist only so
-    /// the pool can be shared without interior-mutability unsafety).
-    pub(crate) fn lease(&self, slot: usize) -> (NonNull<Group>, bool) {
-        let shard = &self.shards[slot % self.shards.len()].0;
-        // relaxed-ok: owner-only shard — lease and release both run on the
-        // worker executing the taskgroup frame, so every access to this
-        // shard (and to pooled descriptors' links) is single-threaded.
-        if let Some(head) = NonNull::new(shard.load(Ordering::Relaxed)) {
-            // relaxed-ok: owner-only shard, see above.
-            let next = unsafe { head.as_ref() }.next.load(Ordering::Relaxed);
-            // relaxed-ok: owner-only shard, see above.
-            shard.store(next, Ordering::Relaxed);
-            debug_assert_eq!(
-                // relaxed-ok: owner-only shard, see above.
-                unsafe { head.as_ref() }.members.load(Ordering::Relaxed),
-                0,
-                "a group was returned to the pool with live members"
-            );
-            return (head, false);
-        }
-        let fresh = NonNull::from(Box::leak(Box::new(Group::new())));
-        self.all
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(fresh);
-        (fresh, true)
-    }
-
-    /// Returns a drained descriptor to the free list. The caller must be
-    /// the lease owner (same worker, same `slot` as the lease) and must
-    /// have observed `outstanding() == 0`.
-    pub(crate) fn release(&self, group: NonNull<Group>, slot: usize) {
-        let shard = &self.shards[slot % self.shards.len()].0;
-        // relaxed-ok: owner-only shard, see `lease`.
-        let head = shard.load(Ordering::Relaxed);
-        // relaxed-ok: owner-only shard, see `lease`.
-        unsafe { group.as_ref().next.store(head, Ordering::Relaxed) };
-        // relaxed-ok: owner-only shard, see `lease`.
-        shard.store(group.as_ptr(), Ordering::Relaxed);
-    }
-
-    /// Free descriptors currently pooled (diagnostics/tests only; racy).
-    #[cfg(test)]
-    pub(crate) fn free_len(&self) -> usize {
-        let mut n = 0;
-        for shard in self.shards.iter() {
-            let mut cur = shard.0.load(Ordering::Acquire);
-            while let Some(g) = NonNull::new(cur) {
-                n += 1;
-                cur = unsafe { g.as_ref() }.next.load(Ordering::Relaxed);
-            }
-        }
-        n
-    }
-}
-
-impl Drop for GroupPool {
-    fn drop(&mut self) {
-        let all = std::mem::take(&mut *self.all.lock().unwrap_or_else(|e| e.into_inner()));
-        for group in all {
-            drop(unsafe { Box::from_raw(group.as_ptr()) });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::freelist::ShardedPool;
+
+    fn pool(workers: usize) -> ShardedPool<Group> {
+        ShardedPool::new(workers, 1, ())
+    }
 
     #[test]
     fn join_leave_counts_members() {
-        let pool = GroupPool::new(1);
-        let (g, fresh) = pool.lease(0);
+        let pool = pool(1);
+        let (g, fresh) = unsafe { pool.lease(0) };
         assert!(fresh);
         let g = unsafe { g.as_ref() };
         g.join();
@@ -355,33 +277,39 @@ mod tests {
 
     #[test]
     fn lease_recycles_released_descriptors() {
-        let pool = GroupPool::new(2);
-        let (a, fresh) = pool.lease(0);
-        assert!(fresh, "empty pool allocates");
-        let (b, fresh) = pool.lease(0);
-        assert!(fresh);
-        assert_ne!(a.as_ptr(), b.as_ptr());
-        pool.release(a, 0);
-        let (a2, fresh) = pool.lease(0);
-        assert!(!fresh, "released descriptor must be recycled");
-        assert_eq!(a2.as_ptr(), a.as_ptr());
-        pool.release(a2, 0);
-        pool.release(b, 1);
-        assert_eq!(pool.free_len(), 2);
+        let pool = pool(2);
+        unsafe {
+            let (a, fresh) = pool.lease(0);
+            assert!(fresh, "empty pool allocates");
+            let (b, fresh) = pool.lease(0);
+            assert!(fresh);
+            assert_ne!(a.as_ptr(), b.as_ptr());
+            pool.release(a, 0);
+            let (a2, fresh) = pool.lease(0);
+            assert!(!fresh, "released descriptor must be recycled");
+            assert_eq!(a2.as_ptr(), a.as_ptr());
+            pool.release(a2, 0);
+            // A frame that migrated to worker 1 returns worker 0's
+            // descriptor through shard 0's reclaim stack.
+            assert!(pool.release(b, 1));
+            assert_eq!(pool.free_len(), 2);
+        }
         // Drop frees everything (asan/miri would flag a double- or no-free).
     }
 
     #[test]
     fn lease_pops_exactly_one() {
-        let pool = GroupPool::new(1);
-        let leased: Vec<_> = (0..4).map(|_| pool.lease(0).0).collect();
-        for &g in &leased {
-            pool.release(g, 0);
+        let pool = pool(1);
+        unsafe {
+            let leased: Vec<_> = (0..4).map(|_| pool.lease(0).0).collect();
+            for &g in &leased {
+                pool.release(g, 0);
+            }
+            assert_eq!(pool.free_len(), 4);
+            let (_one, fresh) = pool.lease(0);
+            assert!(!fresh);
+            assert_eq!(pool.free_len(), 3, "pop takes exactly one descriptor");
         }
-        assert_eq!(pool.free_len(), 4);
-        let (_one, fresh) = pool.lease(0);
-        assert!(!fresh);
-        assert_eq!(pool.free_len(), 3, "pop takes exactly one descriptor");
     }
 
     /// The register/claim race: the zero-driving member's drain claim can
@@ -391,8 +319,8 @@ mod tests {
     /// lease owner's `await_drain_claim` spin.
     #[test]
     fn raced_registration_preserves_the_drain_claim() {
-        let pool = GroupPool::new(1);
-        let (g, _) = pool.lease(0);
+        let pool = pool(1);
+        let (g, _) = unsafe { pool.lease(0) };
         let g_ref = unsafe { g.as_ref() };
         let cont = NonNull::<Continuation>::dangling();
         // Clean slot: registration wins, take-back returns it.
@@ -403,19 +331,21 @@ mod tests {
         assert!(g_ref.claim_waiter().is_none());
         assert!(!g_ref.try_register_waiter(cont));
         g_ref.await_drain_claim();
-        pool.release(g, 0);
+        unsafe { pool.release(g, 0) };
     }
 
     #[test]
     fn shards_do_not_alias_across_workers() {
-        let pool = GroupPool::new(2);
-        let (a, _) = pool.lease(0);
-        pool.release(a, 0);
-        // Worker 1's shard is empty: it allocates fresh rather than raid
-        // worker 0's shard (per-worker population stays worker-local).
-        let (b, fresh) = pool.lease(1);
-        assert!(fresh);
-        assert_ne!(a.as_ptr(), b.as_ptr());
-        pool.release(b, 1);
+        let pool = pool(2);
+        unsafe {
+            let (a, _) = pool.lease(0);
+            pool.release(a, 0);
+            // Worker 1's shard is empty: it allocates fresh rather than
+            // raid worker 0's shard (per-worker population stays local).
+            let (b, fresh) = pool.lease(1);
+            assert!(fresh);
+            assert_ne!(a.as_ptr(), b.as_ptr());
+            pool.release(b, 1);
+        }
     }
 }

@@ -255,9 +255,11 @@
 //! ## What is modelled, and how faithfully
 //!
 //! * **Tasks** are pooled, refcounted 128-byte records (closure stored
-//!   inline, recycled through per-worker slabs — a steady-state spawn makes
-//!   **zero heap allocations**, and [`RuntimeStats::closure_spilled`] counts
-//!   the exceptions) queued on per-worker [Chase-Lev deques](deque); idle
+//!   inline, recycled through the per-worker free-list pool that also
+//!   holds fibers, group, loop and dependency descriptors — a steady-state
+//!   spawn makes **zero heap allocations**, and
+//!   [`RuntimeStats::closure_spilled`] counts the exceptions) queued on
+//!   per-worker [Chase-Lev deques](deque); idle
 //!   workers steal the oldest task from a random victim.
 //! * **Whole kernel bodies are allocation-free**: `taskgroup` leases a
 //!   pooled group descriptor instead of an `Arc` per use
@@ -353,7 +355,8 @@
 //! |---|---|
 //! | [`deque`] | Chase-Lev work-stealing deque |
 //! | `task` | pooled single-block task records, refcounted lifecycle |
-//! | `slab` | per-worker record free lists + cross-thread reclaim |
+//! | `freelist` | the one pool: owner free list + cross-thread reclaim stack, sharded per worker, home-routed release |
+//! | `slab` | task records as pool items (chunked carving) |
 //! | `injector` | sharded lock-free injector feeding region roots to the team |
 //! | `region` | pooled region descriptors: root, result, completion, budget, attribution |
 //! | `deps` | per-region task-dependency tracker (`depend(in/out)` clauses, pooled) |
@@ -383,6 +386,7 @@ mod config;
 mod cont;
 mod deps;
 pub mod failpoint;
+mod freelist;
 mod group;
 mod injector;
 mod local;

@@ -22,9 +22,9 @@ use std::ptr::NonNull;
 
 use crate::cont::Continuation;
 use crate::deps::{DepAccess, DepBlock, DepClause, DepTracker};
-use crate::group::{Group, GroupPool};
+use crate::freelist::ShardedPool;
+use crate::group::Group;
 use crate::injector::Injector as RawInjector;
-use crate::slab::{AllocSource, RecordSlab};
 use crate::task::{TaskAttrs, TaskRecord, HOME_BOXED};
 
 /// Opaque handle to a heap-boxed [`TaskRecord`]: the record's address,
@@ -102,50 +102,42 @@ impl Injector {
     }
 }
 
-/// A worker's record slab (owner free list + cross-thread Treiber reclaim
-/// stack). See `crate::slab`.
-pub struct Slab(RecordSlab);
+/// The task-record pool (`crate::freelist` over `crate::slab` records):
+/// one shard per worker, releases routed by each record's home.
+pub struct Slab(ShardedPool<TaskRecord>);
 
 impl Slab {
-    /// A slab carving `chunk_records` records per fresh chunk.
-    pub fn new(chunk_records: usize) -> Slab {
-        Slab(RecordSlab::new(chunk_records))
+    /// `workers` shards, carving `chunk_records` records per fresh chunk.
+    pub fn new(workers: usize, chunk_records: usize) -> Slab {
+        Slab(ShardedPool::new(workers, chunk_records, ()))
     }
 
-    /// Allocates and initialises one record; `true` means it came
-    /// recycled (local list or reclaim stack) rather than fresh.
+    /// Leases and initialises one record homed on `worker`; `true` means
+    /// it came recycled (local list or reclaim stack) rather than fresh.
     ///
     /// # Safety
-    /// Owner thread only — in a scenario, the one virtual thread playing
-    /// the slab owner.
-    pub unsafe fn alloc_init(&self) -> (Rec, bool) {
-        let (rec, src) = self.0.alloc();
+    /// Only the virtual thread playing worker `worker`.
+    pub unsafe fn alloc_init(&self, worker: usize) -> (Rec, bool) {
+        let (rec, fresh) = self.0.lease(worker);
         TaskRecord::init(
             rec,
             None,
             None,
             std::ptr::null(),
-            HOME_BOXED,
+            worker as u16,
             TaskAttrs::tied(),
         );
-        (Rec(rec.as_ptr() as usize), src == AllocSource::Recycled)
+        (Rec(rec.as_ptr() as usize), !fresh)
     }
 
-    /// Releases the record's reference and returns it to the owner's
-    /// local free list.
+    /// Releases the record's reference and returns it from worker
+    /// `worker`; `true` means it went onto the home's reclaim stack.
     ///
     /// # Safety
-    /// Owner thread only; `rec` must have come from this slab.
-    pub unsafe fn free_local(&self, rec: Rec) {
+    /// Only the virtual thread playing worker `worker`.
+    pub unsafe fn release(&self, rec: Rec, worker: usize) -> bool {
         assert_eq!(rec.ptr().as_ref().release_ref(), 1);
-        self.0.free_local(rec.ptr());
-    }
-
-    /// Releases the record's reference and pushes it onto the reclaim
-    /// stack (any thread; the cross-thread half of the protocol).
-    pub fn free_remote(&self, rec: Rec) {
-        assert_eq!(unsafe { rec.ptr().as_ref() }.release_ref(), 1);
-        self.0.free_remote(rec.ptr());
+        self.0.release(rec.ptr(), worker)
     }
 }
 
@@ -224,8 +216,8 @@ pub fn waiter_token(id: usize) -> usize {
     (id + 2) * 128
 }
 
-/// Borrowed handle to a pooled [`Group`] descriptor.
-#[derive(Clone, Copy)]
+/// Borrowed handle to a pooled [`Group`] descriptor (compares by address).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct GroupRef(NonNull<Group>);
 
 // SAFETY: every `Group` field is an atomic; the methods documented as
@@ -287,23 +279,44 @@ impl GroupRef {
     }
 }
 
-/// The taskgroup descriptor pool (owner-only shards). See `crate::group`.
-pub struct Groups(GroupPool);
+/// The taskgroup descriptor pool: one shard per worker, releases routed by
+/// each descriptor's home. See `crate::group` and `crate::freelist`.
+pub struct Groups(ShardedPool<Group>);
 
 impl Groups {
     /// One shard per worker.
     pub fn new(workers: usize) -> Groups {
-        Groups(GroupPool::new(workers))
+        Groups(ShardedPool::new(workers, 1, ()))
     }
 
-    /// Leases a descriptor on `slot`'s shard; `true` = freshly allocated.
-    pub fn lease(&self, slot: usize) -> (GroupRef, bool) {
-        let (g, fresh) = self.0.lease(slot);
+    /// Leases a descriptor homed on `worker`; `true` = freshly allocated.
+    ///
+    /// # Safety
+    /// Only the virtual thread playing worker `worker`.
+    pub unsafe fn lease(&self, worker: usize) -> (GroupRef, bool) {
+        let (g, fresh) = self.0.lease(worker);
         (GroupRef(g), fresh)
     }
 
-    /// Returns a drained descriptor (lease owner only).
-    pub fn release(&self, group: GroupRef, slot: usize) {
-        self.0.release(group.0, slot);
+    /// Returns a drained descriptor from worker `worker`, which need not
+    /// be its home; `true` = routed onto the home's reclaim stack.
+    ///
+    /// # Safety
+    /// Only the virtual thread playing worker `worker`.
+    pub unsafe fn release(&self, group: GroupRef, worker: usize) -> bool {
+        self.0.release(group.0, worker)
+    }
+
+    /// Descriptors ever created.
+    pub fn created(&self) -> usize {
+        self.0.created()
+    }
+
+    /// Free descriptors over every shard, both halves.
+    ///
+    /// # Safety
+    /// No concurrent lease or release.
+    pub unsafe fn free_len(&self) -> usize {
+        self.0.free_len()
     }
 }

@@ -84,20 +84,20 @@ use std::sync::Arc;
 
 use crate::cancel::{RegionError, SubmitError};
 use crate::config::{LocalOrder, RegionBudget, RuntimeConfig, RuntimeCutoff};
-use crate::cont::{self, ContPool, ContSource, Continuation};
+use crate::cont::{self, Continuation};
 use crate::deque::{deque, Steal, Stealer, TaskDeque};
 use crate::event::EventCount;
-use crate::group::{Group, GroupPool};
+use crate::freelist::{ShardedPool, REMOTE};
+use crate::group::Group;
 use crate::injector::Injector;
 use crate::local::CacheAligned;
 use crate::region::{Completion, Region, RegionPool, RegionStats};
 use crate::replay::{self, ArmOutcome, FrozenGraph, GraphCache};
 use crate::rng::XorShift64;
 use crate::scope::Scope;
-use crate::slab::{AllocSource, RecordSlab};
 use crate::stats::{RuntimeStats, WorkerCounters};
 use crate::task::{TaskAttrs, TaskRecord, HOME_BOXED, HOME_REGION};
-use crate::wsloop::LoopPool;
+use crate::wsloop::WsLoop;
 
 /// Worker-thread stack size. Task bodies run on pooled fiber stacks
 /// ([`crate::cont`]) and blocked waits suspend instead of nesting, so the
@@ -149,22 +149,16 @@ pub(crate) struct Shared {
     pub(crate) shutdown: AtomicBool,
     /// Per-worker statistics.
     pub(crate) counters: Vec<WorkerCounters>,
-    /// Per-worker record pools; indexed by `TaskRecord::home` on free.
-    pub(crate) slabs: Vec<RecordSlab>,
     /// Pooled region descriptors (see [`crate::region`]): a steady-state
     /// submission leases one instead of allocating.
     pub(crate) region_pool: RegionPool,
-    /// Pooled taskgroup descriptors (see [`crate::group`]): a steady-state
-    /// `taskgroup` leases one instead of allocating an `Arc`.
-    pub(crate) group_pool: GroupPool,
-    /// Pooled fibers (see [`crate::cont`]): every deferred task body runs
-    /// on one, and a steady-state suspend/resume cycle leases and recycles
-    /// instead of allocating.
-    pub(crate) cont_pool: ContPool,
-    /// Pooled worksharing-loop descriptors (see [`crate::wsloop`]): a
-    /// steady-state worksharing `for_each` leases one instead of
-    /// allocating.
-    pub(crate) loop_pool: LoopPool,
+    // The free-list pools ([`crate::freelist`]), one shard per worker, that
+    // make steady-state spawns, taskgroups, waits (every deferred body runs
+    // on a pooled fiber) and worksharing loops allocation-free.
+    pub(crate) records: ShardedPool<TaskRecord>,
+    pub(crate) group_pool: ShardedPool<Group>,
+    pub(crate) cont_pool: ShardedPool<Continuation>,
+    pub(crate) loop_pool: ShardedPool<WsLoop>,
     /// Regions submitted but not yet quiescent, detached ones included.
     /// `Runtime::drop` waits for this to drain before shutting the team
     /// down, so an `on_complete` callback can never be silently abandoned.
@@ -207,8 +201,8 @@ pub(crate) struct Shared {
 // pointers in the injector are exclusively-owned queue handles of live
 // `TaskRecord`s whose closures are `Send`; the deque stealers hand the same
 // kind of pointer over with the Chase-Lev protocol guaranteeing each is
-// received exactly once. The slabs' owner-only halves are only touched by
-// their owning worker threads (see `crate::slab`).
+// received exactly once. The pools' owner-only halves are only touched by
+// their owning worker threads (see `crate::freelist`).
 unsafe impl Send for Shared {}
 unsafe impl Sync for Shared {}
 
@@ -362,15 +356,10 @@ impl Shared {
                 self.region_pool
                     .release(unsafe { NonNull::new_unchecked(region.cast_mut()) }, slot);
             } else {
-                let slab = &self.slabs[home as usize];
-                match worker_index {
-                    Some(i) if i == home as usize => unsafe { slab.free_local(cur) },
-                    _ => {
-                        slab.free_remote(cur);
-                        if let Some(i) = worker_index {
-                            WorkerCounters::bump(&self.counters[i].slab_cross_freed);
-                        }
-                    }
+                // Safety: a pool record with no reference left.
+                let remote = unsafe { self.records.release(cur, worker_index.unwrap_or(REMOTE)) };
+                if let (true, Some(i)) = (remote, worker_index) {
+                    WorkerCounters::bump(&self.counters[i].slab_cross_freed);
                 }
             }
             match parent {
@@ -497,11 +486,23 @@ thread_local! {
         const { std::cell::Cell::new(std::ptr::null_mut()) };
 }
 
+// Every thread-local access in this crate sits in an `#[inline(never)]`
+// function (`cargo xtask lint` enforces it): a fiber may suspend on one
+// worker and resume on another, and an inlined access may reuse the
+// thread-local address computed before the switch, i.e. the previous
+// thread's slot. A real call recomputes it on the running thread.
+
+/// The calling thread's worker context (null off-team).
+#[inline(never)]
+fn cur_worker_ptr() -> *const WorkerCtx {
+    CUR_WORKER.with(|w| w.get())
+}
+
 /// The calling thread's worker context. Panics off-team; task code can
 /// only run on workers, so the unwrap documents an invariant.
 #[inline]
 pub(crate) fn current_worker() -> &'static WorkerCtx {
-    let p = CUR_WORKER.with(|w| w.get());
+    let p = cur_worker_ptr();
     debug_assert!(!p.is_null(), "current_worker() called off a worker thread");
     // Safety: set once at worker start to the worker loop's frame-local
     // context, which outlives everything the thread ever executes; the
@@ -511,9 +512,17 @@ pub(crate) fn current_worker() -> &'static WorkerCtx {
 }
 
 /// The continuation mounted on the calling thread, if any.
-#[inline]
+#[inline(never)]
 pub(crate) fn current_cont() -> Option<NonNull<Continuation>> {
     NonNull::new(CUR_CONT.with(|c| c.get()))
+}
+
+/// Is the calling thread a worker of the team owning `shared`? Blocking
+/// entry points reject that: a worker parked in a join could deadlock it.
+fn on_team(shared: &Shared) -> bool {
+    let p = cur_worker_ptr();
+    // Safety: a non-null context is the live worker loop's own.
+    !p.is_null() && std::ptr::eq(unsafe { &*(*p).shared }, shared)
 }
 
 /// The hook `bots_fiber_main` (see [`crate::cont`]) runs a handed-off
@@ -555,12 +564,13 @@ impl WorkerCtx {
         attrs: TaskAttrs,
     ) -> NonNull<TaskRecord> {
         // Safety: this is the owning worker thread.
-        let (rec, source) = unsafe { self.shared.slabs[self.index].alloc() };
+        let (rec, fresh) = unsafe { self.shared.records.lease(self.index) };
         let counters = self.counters();
-        match source {
-            AllocSource::Recycled => WorkerCounters::bump(&counters.slab_recycled),
-            AllocSource::Fresh => WorkerCounters::bump(&counters.slab_fresh),
-        }
+        WorkerCounters::bump(if fresh {
+            &counters.slab_fresh
+        } else {
+            &counters.slab_recycled
+        });
         // Safety: the slot came from our slab and is free; parent is live
         // (and carries the region pointer the child inherits).
         unsafe {
@@ -685,14 +695,18 @@ impl WorkerCtx {
         match decode(item) {
             Work::Fresh(task) => {
                 // Safety: this is the owning worker thread.
-                let (c, src) = unsafe { self.shared.cont_pool.lease(self.index) };
-                match src {
-                    ContSource::Recycled => WorkerCounters::bump(&counters.conts_recycled),
-                    ContSource::Fresh => WorkerCounters::bump(&counters.conts_fresh),
-                }
-                // Safety: a leased fiber is exclusively ours; the task's
-                // queue handle transfers to the fiber.
+                let (c, fresh) = unsafe { self.shared.cont_pool.lease(self.index) };
+                WorkerCounters::bump(if fresh {
+                    &counters.conts_fresh
+                } else {
+                    &counters.conts_recycled
+                });
+                // Safety: a leased fiber is exclusively ours (a recycled one
+                // still reads DONE; the deque push that publishes it orders
+                // the re-arm); the task's queue handle transfers to it.
                 unsafe {
+                    c.as_ref().state.store(cont::RUNNING, Ordering::Relaxed);
+                    c.as_ref().last_worker.set(self.index as u16);
                     c.as_ref().task.set(Some(task));
                     self.mount(c);
                 }
@@ -719,9 +733,13 @@ impl WorkerCtx {
     /// when a waker already claimed the continuation mid-park, requeues it
     /// right here on our own deque.
     ///
+    /// Not inlined, like every thread-local access (see the note above
+    /// `cur_worker_ptr`); the switch returns on the calling thread.
+    ///
     /// # Safety
     /// Caller must hold exclusive mount rights on `c` (fresh lease with a
     /// task set, or a popped `Resume` item), on this context's own thread.
+    #[inline(never)]
     unsafe fn mount(&self, c: NonNull<Continuation>) {
         let prev = CUR_CONT.with(|cur| cur.replace(c.as_ptr()));
         c.as_ref().switch_in();
@@ -973,6 +991,8 @@ unsafe impl Send for RegionPtr {}
 /// Injector shard affinity for the calling (submitting) thread: a cached
 /// hash of the thread id, so concurrent clients land on different shards
 /// with high probability and a thread's submissions stay on one shard.
+/// Not inlined: see the thread-local note above `cur_worker_ptr`.
+#[inline(never)]
 fn submitter_slot() -> usize {
     use std::hash::{Hash, Hasher};
     thread_local! {
@@ -990,15 +1010,6 @@ fn submitter_slot() -> usize {
         }
         slot
     })
-}
-
-thread_local! {
-    /// The `Shared` block of the team this thread is a worker of, if any.
-    /// Set once at worker start; lets blocking entry points reject being
-    /// called from a task of the same runtime (a worker parked in a region
-    /// join cannot task-switch, so the wait could deadlock the team).
-    static WORKER_OF: std::cell::Cell<*const Shared> =
-        const { std::cell::Cell::new(std::ptr::null()) };
 }
 
 /// A team of worker threads implementing the OpenMP 3.0 task execution
@@ -1047,13 +1058,11 @@ impl Runtime {
             root_spilled: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             counters: (0..n).map(|_| WorkerCounters::default()).collect(),
-            slabs: (0..n)
-                .map(|_| RecordSlab::new(config.record_chunk))
-                .collect(),
+            records: ShardedPool::new(n, config.record_chunk, ()),
             region_pool: RegionPool::new(n),
-            group_pool: GroupPool::new(n),
-            cont_pool: ContPool::new(n, config.cont_stack),
-            loop_pool: LoopPool::new(n),
+            group_pool: ShardedPool::new(n, 1, ()),
+            cont_pool: ShardedPool::new(n, 1, config.cont_stack),
+            loop_pool: ShardedPool::new(n, 1, ()),
             live_regions: AtomicUsize::new(0),
             regions_fresh: AtomicU64::new(0),
             regions_recycled: AtomicU64::new(0),
@@ -1076,7 +1085,6 @@ impl Runtime {
                 .name(format!("bots-worker-{index}"))
                 .stack_size(WORKER_STACK)
                 .spawn(move || {
-                    WORKER_OF.with(|w| w.set(Arc::as_ptr(&shared)));
                     let ctx = WorkerCtx {
                         index,
                         deque: owner,
@@ -1165,7 +1173,7 @@ impl Runtime {
         // submission — unwinding past a published borrowing region would
         // leave tasks reading a freed stack frame.
         assert!(
-            !WORKER_OF.with(|w| std::ptr::eq(w.get(), Arc::as_ptr(&self.shared))),
+            !on_team(&self.shared),
             "Runtime::parallel called from inside a task of the same runtime; \
              spawn a task instead, or submit from a client thread"
         );
@@ -1357,7 +1365,7 @@ impl Runtime {
         R: Send + 'env,
     {
         assert!(
-            !WORKER_OF.with(|w| std::ptr::eq(w.get(), Arc::as_ptr(&self.shared))),
+            !on_team(&self.shared),
             "Runtime::parallel_replay called from inside a task of the same \
              runtime; spawn a task instead, or submit from a client thread"
         );
@@ -1654,7 +1662,7 @@ impl<'rt, F> RegionBuilder<'rt, F> {
         // Same ordering rationale as `Runtime::parallel`: reject nested
         // calls before the (possibly borrowing) root is published.
         assert!(
-            !WORKER_OF.with(|w| std::ptr::eq(w.get(), Arc::as_ptr(&self.rt.shared))),
+            !on_team(&self.rt.shared),
             "RegionBuilder::join called from inside a task of the same \
              runtime; spawn a task instead, or submit from a client thread"
         );
@@ -1968,7 +1976,7 @@ impl<R> RegionHandle<'_, R> {
     /// owns it until the runtime drops.
     fn assert_off_team(&mut self) {
         let shared = &*self.rt.shared;
-        if WORKER_OF.with(|w| std::ptr::eq(w.get(), shared as *const Shared)) {
+        if on_team(shared) {
             self.quiesced = true;
             panic!(
                 "RegionHandle joined (or dropped) from inside a task of the same \
@@ -2080,12 +2088,22 @@ impl<R> Drop for RegionHandle<'_, R> {
 
 /// The worker main loop: local pop → injector → steal rounds → park, with
 /// wake propagation after a successful wake (see the module docs).
+#[inline(never)]
 fn worker_loop(ctx: &WorkerCtx) {
     // Publish this thread's context before touching any work: everything
     // popped below may be a tagged continuation whose fiber reads
     // `current_worker()` the instant it lands.
-    CUR_WORKER.with(|w| w.set(ctx as *const WorkerCtx));
+    CUR_WORKER.with(|w| w.set(ctx));
     let shared = &*ctx.shared;
+    // Carve this worker's first record chunk and fiber before it takes
+    // work, so a warm region stays allocation-free whichever worker runs
+    // it. Safety: this is worker `ctx.index`'s thread; both items unused.
+    unsafe {
+        let (rec, _) = shared.records.lease(ctx.index);
+        shared.records.release(rec, ctx.index);
+        let (c, _) = shared.cont_pool.lease(ctx.index);
+        shared.cont_pool.release(c, ctx.index);
+    }
     let mut just_woke = false;
     loop {
         if shared.shutdown.load(Ordering::Acquire) {

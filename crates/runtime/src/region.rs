@@ -41,7 +41,7 @@
 //! a deliberately leaked lease (see the join-on-worker panic path) leaves
 //! no dangling pointer behind.
 //!
-//! The pool mirrors the task-record slabs ([`crate::slab`]) in spirit and
+//! The pool mirrors the free-list pool ([`crate::freelist`]) in spirit and
 //! the sharded injector ([`crate::injector`]) in mechanism: one Treiber
 //! shard per worker, submitter-hashed, with ABA-free swap-drain pops.
 //!

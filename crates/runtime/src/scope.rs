@@ -65,13 +65,17 @@ thread_local! {
 /// cleared, capacity intact — on drop.
 struct DepSpill(Vec<DepClause>);
 
+// Not inlined, like every thread-local access: a builder may outlive a
+// suspend that moved its frame (see the note above `pool::cur_worker_ptr`).
 impl DepSpill {
+    #[inline(never)]
     fn lease() -> DepSpill {
         SPILL_POOL.with(|p| DepSpill(p.borrow_mut().pop().unwrap_or_default()))
     }
 }
 
 impl Drop for DepSpill {
+    #[inline(never)]
     fn drop(&mut self) {
         self.0.clear();
         SPILL_POOL.with(|p| {
@@ -694,7 +698,8 @@ impl<'scope> Scope<'scope> {
         let shared = &*worker.shared;
         // Zero-allocation construct: the group descriptor is leased from
         // the worker's pooled free list, not Arc-allocated per use.
-        let (group, fresh) = shared.group_pool.lease(worker.index);
+        // Safety: this is worker `worker.index`'s thread.
+        let (group, fresh) = unsafe { shared.group_pool.lease(worker.index) };
         // Re-arm the cancel flag: the pool only hands out drained
         // descriptors, so no member of a previous use can observe this.
         unsafe { group.as_ref() }.reset();
@@ -735,9 +740,10 @@ impl<'scope> Scope<'scope> {
                     self.scope.wait_group(group);
                     group.await_drain_claim();
                 }
-                // Re-resolve the worker: the wait may have migrated us.
+                // Re-resolve the worker: the wait may have migrated us (the
+                // release routes home). Safety: drained, claim landed.
                 let worker = self.scope.worker();
-                worker.shared.group_pool.release(self.group, worker.index);
+                unsafe { worker.shared.group_pool.release(self.group, worker.index) };
             }
         }
         let guard = GroupGuard { scope: self, group };
@@ -777,16 +783,15 @@ impl<'scope> Scope<'scope> {
         false
     }
 
-    /// May a blocked wait suspend its continuation? Deadline-armed regions
-    /// keep the legacy helping/park loop: the parked re-probe is what
-    /// stamps the coarse clock and trips the deadline cancellation when no
-    /// task dispatch is advancing it — with every frame suspended, an
-    /// otherwise-idle team would never notice the deadline passing.
+    /// May a blocked wait suspend its continuation? Not while the frame
+    /// unwinds: the panic in flight is counted per *thread*, and finishing
+    /// the unwind on another worker corrupts both workers' counts (one
+    /// then poisons every mutex it unlocks). Deadline-armed regions keep
+    /// the helping/park loop too: its parked re-probe stamps the coarse
+    /// clock and trips the deadline when no task dispatch advances it.
     fn can_suspend(&self) -> bool {
-        match unsafe { self.rec().region().as_ref() } {
-            Some(region) => region.deadline_ms() == 0,
-            None => true,
-        }
+        let region = unsafe { self.rec().region().as_ref() };
+        !std::thread::panicking() && region.is_none_or(|r| r.deadline_ms() == 0)
     }
 
     /// Suspends the calling fiber: `RUNNING → SUSPENDING → switch out`.
@@ -1142,7 +1147,8 @@ impl<'scope> Scope<'scope> {
         let worker = self.worker();
         let shared = &*worker.shared;
         let counters = worker.counters();
-        let (lp, fresh) = shared.loop_pool.lease(worker.index);
+        // Safety: this is worker `worker.index`'s thread.
+        let (lp, fresh) = unsafe { shared.loop_pool.lease(worker.index) };
         WorkerCounters::bump(if fresh {
             &counters.loops_fresh
         } else {
@@ -1313,14 +1319,10 @@ struct LoopReleaseGuard<'s, 'scope> {
 
 impl Drop for LoopReleaseGuard<'_, '_> {
     fn drop(&mut self) {
-        // The pool shard is resolved at drop time: the barrier between
-        // construction and here may have suspended and migrated the frame.
+        // The worker is resolved at drop time: the barrier may have
+        // migrated the frame (the release routes home). Safety: drained.
         let worker = self.scope.worker();
-        self.scope
-            .worker()
-            .shared
-            .loop_pool
-            .release(self.lp, worker.index);
+        unsafe { worker.shared.loop_pool.release(self.lp, worker.index) };
     }
 }
 

@@ -1,279 +1,129 @@
-//! Per-worker free-list slabs for [`TaskRecord`]s: the allocation side of
-//! the zero-allocation spawn fast path.
-//!
-//! Each worker owns one [`RecordSlab`]. Allocation is strictly owner-side
-//! (only the worker thread calls [`RecordSlab::alloc`]) and is a plain
-//! pointer pop from a singly-linked free list in the common case — no
-//! atomics, no locks, no `malloc`. When the local list is dry the owner
-//! first drains its **reclaim stack** — a Treiber stack onto which *other*
-//! threads push records they freed (a thief executed the task, or a
-//! cross-worker release cascade destroyed it) — and only when both are
-//! empty does it fall back to carving a fresh chunk from the heap.
-//!
-//! Chunks are arrays of [`RuntimeConfig::record_chunk`] records, kept alive
-//! for the lifetime of the pool: records cycle through free lists forever
-//! and the chunk vector frees the memory when the runtime drops. The chunk
-//! size is the pool-growth granularity knob; one 64-record chunk is 8 KiB.
-//!
-//! The intrusive link is [`TaskRecord::next`], which is only ever touched
-//! while a record is free (its queue handle has been released and its
-//! refcount has reached zero), so the link cannot race with live-task use.
+//! Task records as [`Pooled`] items: the allocation side of the
+//! zero-allocation spawn fast path. A spawn pops a record from its
+//! worker's shard of the team's [`ShardedPool`](crate::freelist::ShardedPool)
+//! — a plain pointer pop, no `malloc`. A record freed anywhere but its home
+//! worker (a thief ran it, a release cascade or a region joiner dropped
+//! it) goes onto the home shard's reclaim stack. Fresh records are carved
+//! [`RuntimeConfig::record_chunk`] at a time (one 64-record chunk is
+//! 8 KiB). The link is [`TaskRecord::next`], touched by the pool only while
+//! the record is free.
 //!
 //! [`RuntimeConfig::record_chunk`]: crate::RuntimeConfig::record_chunk
 
-use std::cell::{Cell, UnsafeCell};
-use std::mem::MaybeUninit;
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicPtr, Ordering};
+use std::sync::atomic::AtomicPtr;
 
-use crate::task::TaskRecord;
+use crate::freelist::Pooled;
+use crate::task::{TaskAttrs, TaskRecord};
 
-/// A worker's record pool. Fields split by role:
-///
-/// * `free`, `chunks` — owner thread only;
-/// * `reclaim` — any thread (MPSC: many pushers, the owner drains).
-pub(crate) struct RecordSlab {
-    /// Owner-only free list head (`TaskRecord::next` links).
-    free: Cell<*mut TaskRecord>,
-    /// Cross-thread reclaim stack head.
-    reclaim: AtomicPtr<TaskRecord>,
-    /// Backing chunks; pushed by the owner, freed on drop.
-    chunks: UnsafeCell<Vec<Box<[MaybeUninit<TaskRecord>]>>>,
-    /// Records per fresh chunk.
-    chunk_records: usize,
-}
+// Safety: `next` is only the pool's while the record is free, and `home`
+// is written at carve time and rewritten only by `TaskRecord::init` with
+// the leasing worker's index — the shard the record was carved for.
+unsafe impl Pooled for TaskRecord {
+    type Arg = ();
 
-// Safety: `free` and `chunks` are only accessed by the owning worker thread
-// (enforced by the `unsafe` contracts on `alloc`/`free_local`); `reclaim` is
-// a lock-free stack designed for cross-thread pushes.
-unsafe impl Send for RecordSlab {}
-unsafe impl Sync for RecordSlab {}
-
-/// Where an allocation came from, for the recycling statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AllocSource {
-    /// Popped from the local free list or the reclaim stack.
-    Recycled,
-    /// Carved from a freshly heap-allocated chunk.
-    Fresh,
-}
-
-impl RecordSlab {
-    pub(crate) fn new(chunk_records: usize) -> Self {
-        RecordSlab {
-            free: Cell::new(std::ptr::null_mut()),
-            reclaim: AtomicPtr::new(std::ptr::null_mut()),
-            chunks: UnsafeCell::new(Vec::new()),
-            chunk_records: chunk_records.max(1),
-        }
+    unsafe fn fresh(slot: *mut Self, home: usize, _: ()) {
+        // A rootless placeholder; every lease re-initialises the record.
+        let slot = NonNull::new_unchecked(slot);
+        TaskRecord::init(
+            slot,
+            None,
+            None,
+            std::ptr::null(),
+            home as u16,
+            TaskAttrs::default(),
+        );
     }
 
-    /// Pops one free record slot. The returned memory is uninitialised (or
-    /// holds a stale, fully-released record) — the caller must
-    /// [`TaskRecord::init`] it.
-    ///
-    /// # Safety
-    /// Owner thread only.
-    pub(crate) unsafe fn alloc(&self) -> (NonNull<TaskRecord>, AllocSource) {
-        let head = self.free.get();
-        if !head.is_null() {
-            // relaxed-ok: the local free list is owner-thread-only; the
-            // link was written by this same thread (or handed over by an
-            // Acquire drain), so there is nothing to synchronise with.
-            self.free.set((*head).next.load(Ordering::Relaxed));
-            return (NonNull::new_unchecked(head), AllocSource::Recycled);
-        }
-        if let Some(rec) = self.drain_reclaim() {
-            return (rec, AllocSource::Recycled);
-        }
-        (self.grow(), AllocSource::Fresh)
+    #[inline]
+    fn link(&self) -> &AtomicPtr<Self> {
+        &self.next
     }
 
-    /// Returns a record to the local free list.
-    ///
-    /// # Safety
-    /// Owner thread only; `rec` must be fully released (refcount zero) and
-    /// owned by this slab.
-    pub(crate) unsafe fn free_local(&self, rec: NonNull<TaskRecord>) {
-        // relaxed-ok: owner-thread-only list; the record is fully released
-        // so no other thread can observe the link.
-        rec.as_ref().next.store(self.free.get(), Ordering::Relaxed);
-        self.free.set(rec.as_ptr());
-    }
-
-    /// Returns a record from another thread: pushes it onto the reclaim
-    /// stack for the owner to drain.
-    ///
-    /// `rec` must be fully released and owned by this slab, but the caller
-    /// may be any thread.
-    pub(crate) fn free_remote(&self, rec: NonNull<TaskRecord>) {
-        crate::bots_failpoint!("slab_free_remote");
-        // relaxed-ok: `head` is only the CAS expectation; a stale read
-        // fails the CAS and retries with the witnessed value.
-        let mut head = self.reclaim.load(Ordering::Relaxed);
-        loop {
-            // relaxed-ok: the link is published by the Release CAS below;
-            // the owner's Acquire swap is the only reader.
-            unsafe { rec.as_ref().next.store(head, Ordering::Relaxed) };
-            // The remote-free linearization point: this CAS hands the
-            // record (and its final state) back to the owning slab.
-            crate::bots_failpoint!("slab_reclaim_cas");
-            // transition: slab.reclaim: head -> rec (record re-enters the
-            // owner's pool; Release publishes the `next` write and the
-            // record's final state to the owner's Acquire swap).
-            match self.reclaim.compare_exchange_weak(
-                head,
-                rec.as_ptr(),
-                Ordering::Release,
-                Ordering::Relaxed, // relaxed-ok: failure path only retries
-            ) {
-                Ok(_) => return,
-                Err(cur) => head = cur,
-            }
-        }
-    }
-
-    /// Takes the whole reclaim stack: the first record is returned, the
-    /// rest become the new local free list.
-    ///
-    /// # Safety
-    /// Owner thread only.
-    unsafe fn drain_reclaim(&self) -> Option<NonNull<TaskRecord>> {
-        // A delay here holds the owner between its dry local list and the
-        // reclaim swap while remote frees keep landing.
-        crate::bots_failpoint!("slab_drain");
-        let head = self.reclaim.swap(std::ptr::null_mut(), Ordering::Acquire);
-        let head = NonNull::new(head)?;
-        debug_assert!(self.free.get().is_null());
-        // relaxed-ok: the Acquire swap above took exclusive ownership of
-        // the whole chain; its links can no longer change.
-        self.free.set(head.as_ref().next.load(Ordering::Relaxed));
-        Some(head)
-    }
-
-    /// Allocates a fresh chunk, threads all but one of its slots onto the
-    /// free list, and returns the remaining slot.
-    ///
-    /// # Safety
-    /// Owner thread only.
-    #[cold]
-    unsafe fn grow(&self) -> NonNull<TaskRecord> {
-        let mut chunk: Box<[MaybeUninit<TaskRecord>]> = (0..self.chunk_records)
-            .map(|_| MaybeUninit::uninit())
-            .collect();
-        let base = chunk.as_mut_ptr().cast::<TaskRecord>();
-        // Thread slots 1.. onto the free list; the `next` field is the only
-        // one that must be initialised for a slot sitting in the list.
-        for i in 1..self.chunk_records {
-            let slot = base.add(i);
-            let next = if i + 1 < self.chunk_records {
-                base.add(i + 1)
-            } else {
-                self.free.get()
-            };
-            // Plain write: the slot is uninitialised, so the atomic's memory
-            // is initialised here rather than stored through (an `AtomicPtr`
-            // has the layout of a raw pointer).
-            std::ptr::addr_of_mut!((*slot).next)
-                .cast::<*mut TaskRecord>()
-                .write(next);
-        }
-        if self.chunk_records > 1 {
-            self.free.set(base.add(1));
-        }
-        (*self.chunks.get()).push(chunk);
-        NonNull::new_unchecked(base)
-    }
-
-    /// Records currently sitting in the local free list (diagnostics).
-    ///
-    /// # Safety
-    /// Owner thread only.
-    #[cfg(test)]
-    pub(crate) unsafe fn free_len(&self) -> usize {
-        let mut n = 0;
-        let mut cur = self.free.get();
-        while !cur.is_null() {
-            n += 1;
-            cur = (*cur).next.load(Ordering::Relaxed);
-        }
-        n
+    #[inline]
+    fn home(&self) -> usize {
+        self.home as usize
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::TaskAttrs;
-    use std::sync::atomic::AtomicUsize;
+    use crate::freelist::{ShardedPool, REMOTE};
     use std::sync::Arc;
+
+    /// One worker's record pool, carving `chunk` records at a time.
+    fn slab(chunk: usize) -> ShardedPool<TaskRecord> {
+        ShardedPool::new(1, chunk, ())
+    }
+
+    /// Leases `n` records the owner expects to come recycled.
+    unsafe fn take_recycled(slab: &ShardedPool<TaskRecord>, n: usize) -> Vec<NonNull<TaskRecord>> {
+        (0..n)
+            .map(|_| {
+                let (r, fresh) = slab.lease(0);
+                assert!(!fresh);
+                r
+            })
+            .collect()
+    }
+
+    /// Leases a record and runs it through a real (rootless) lifecycle up
+    /// to its final release; returns its address for another thread.
+    unsafe fn spent_record(slab: &ShardedPool<TaskRecord>) -> (usize, bool) {
+        let (r, fresh) = slab.lease(0);
+        TaskRecord::init(r, None, None, std::ptr::null(), 0, TaskAttrs::default());
+        assert_eq!(r.as_ref().release_ref(), 1);
+        (r.as_ptr() as usize, fresh)
+    }
 
     #[test]
     fn alloc_recycles_after_free() {
-        let slab = RecordSlab::new(4);
+        let slab = slab(4);
         unsafe {
-            let (a, src) = slab.alloc();
-            assert_eq!(src, AllocSource::Fresh);
+            let (a, fresh) = slab.lease(0);
+            assert!(fresh);
             // The rest of the chunk is on the free list already.
-            let (b, src) = slab.alloc();
-            assert_eq!(src, AllocSource::Recycled);
-            slab.free_local(a);
-            let (a2, src) = slab.alloc();
-            assert_eq!(src, AllocSource::Recycled);
+            let b = take_recycled(&slab, 1)[0];
+            slab.release(a, 0);
+            let a2 = take_recycled(&slab, 1)[0];
             assert_eq!(a2.as_ptr(), a.as_ptr(), "LIFO reuse of the last free");
-            slab.free_local(a2);
-            slab.free_local(b);
+            slab.release(a2, 0);
+            slab.release(b, 0);
         }
     }
 
     #[test]
     fn grow_threads_whole_chunk() {
-        let slab = RecordSlab::new(8);
+        let slab = slab(8);
         unsafe {
-            let (first, src) = slab.alloc();
-            assert_eq!(src, AllocSource::Fresh);
+            let (first, fresh) = slab.lease(0);
+            assert!(fresh);
             assert_eq!(slab.free_len(), 7);
             // Drain the rest of the chunk without touching the heap.
-            let rest: Vec<_> = (0..7)
-                .map(|_| {
-                    let (r, src) = slab.alloc();
-                    assert_eq!(src, AllocSource::Recycled);
-                    r
-                })
-                .collect();
+            let rest = take_recycled(&slab, 7);
             assert_eq!(slab.free_len(), 0);
-            let (_fresh, src) = slab.alloc();
-            assert_eq!(src, AllocSource::Fresh, "second chunk after exhaustion");
-            slab.free_local(first);
-            for r in rest {
-                slab.free_local(r);
+            assert!(slab.lease(0).1, "second chunk after exhaustion");
+            for r in rest.into_iter().chain([first]) {
+                slab.release(r, 0);
             }
         }
+        assert_eq!(slab.created(), 16);
     }
 
     #[test]
     fn remote_frees_flow_back_to_owner() {
-        let slab = Arc::new(RecordSlab::new(2));
-        // Owner takes records, initialises them as real (rootless) records,
-        // releases them, and hands them to remote threads to free.
-        let records: Vec<usize> = unsafe {
-            (0..8)
-                .map(|_| {
-                    let (r, _) = slab.alloc();
-                    TaskRecord::init(r, None, None, std::ptr::null(), 0, TaskAttrs::default());
-                    assert_eq!(r.as_ref().release_ref(), 1);
-                    r.as_ptr() as usize
-                })
-                .collect()
-        };
+        let slab = Arc::new(slab(2));
+        let records: Vec<usize> = (0..8).map(|_| unsafe { spent_record(&slab) }.0).collect();
+        // Four remote threads free two records each.
         let handles: Vec<_> = records
             .chunks(2)
             .map(|pair| {
-                let slab = slab.clone();
-                let pair: Vec<usize> = pair.to_vec();
+                let (slab, pair) = (slab.clone(), pair.to_vec());
                 std::thread::spawn(move || {
                     for p in pair {
-                        slab.free_remote(NonNull::new(p as *mut TaskRecord).unwrap());
+                        let rec = NonNull::new(p as *mut TaskRecord).unwrap();
+                        assert!(unsafe { slab.release(rec, REMOTE) });
                     }
                 })
             })
@@ -282,64 +132,49 @@ mod tests {
             h.join().unwrap();
         }
         // Owner drains the reclaim stack: all 8 come back recycled.
-        let got = AtomicUsize::new(0);
         unsafe {
-            let mut taken = Vec::new();
-            for _ in 0..8 {
-                let (r, src) = slab.alloc();
-                assert_eq!(src, AllocSource::Recycled);
-                got.fetch_add(1, Ordering::Relaxed);
-                taken.push(r);
-            }
-            for r in taken {
-                slab.free_local(r);
+            for r in take_recycled(&slab, 8) {
+                slab.release(r, 0);
             }
         }
-        assert_eq!(got.load(Ordering::Relaxed), 8);
+        assert_eq!(slab.created(), 8);
     }
 
-    /// Interleaved producer/consumer on the reclaim stack: remote threads
-    /// push frees *while* the owner keeps allocating and draining. The pool
-    /// must stay bounded — the owner's fresh-chunk fallback only fires when
-    /// both lists are momentarily empty, never because reclaimed records
-    /// were lost.
+    /// Interleaved producer/consumer on the reclaim stack: a remote thread
+    /// pushes frees *while* the owner keeps allocating and draining. The
+    /// pool must stay bounded — the owner's fresh-chunk fallback only fires
+    /// when both lists are momentarily empty, never because reclaimed
+    /// records were lost.
     #[test]
     fn reclaim_stack_interleaves_with_alloc() {
         const CYCLES: usize = 10_000;
         const CHUNK: usize = 4;
-        let slab = Arc::new(RecordSlab::new(CHUNK));
         // Bound in-flight records so the fresh-allocation count is provably
         // small: the owner can only be starved of `IN_FLIGHT` records plus
         // whatever sits unseen in the reclaim stack for one probe.
         const IN_FLIGHT: usize = 8;
+        let slab = Arc::new(slab(CHUNK));
         let (tx, rx) = std::sync::mpsc::sync_channel::<usize>(IN_FLIGHT);
-
         let remote = {
             let slab = slab.clone();
             std::thread::spawn(move || {
-                let mut freed = 0usize;
-                while let Ok(p) = rx.recv() {
-                    slab.free_remote(NonNull::new(p as *mut TaskRecord).unwrap());
+                let mut freed = 0;
+                for p in rx {
+                    unsafe { slab.release(NonNull::new(p as *mut TaskRecord).unwrap(), REMOTE) };
                     freed += 1;
                 }
                 freed
             })
         };
-
         let mut fresh = 0usize;
         for _ in 0..CYCLES {
             // Safety: this thread plays the owner for the whole test.
-            let (rec, src) = unsafe { slab.alloc() };
-            if src == AllocSource::Fresh {
-                fresh += 1;
-            }
-            unsafe { TaskRecord::init(rec, None, None, std::ptr::null(), 0, TaskAttrs::default()) };
-            assert_eq!(unsafe { rec.as_ref() }.release_ref(), 1);
-            tx.send(rec.as_ptr() as usize).unwrap();
+            let (rec, carved) = unsafe { spent_record(&slab) };
+            fresh += carved as usize;
+            tx.send(rec).unwrap();
         }
         drop(tx);
         assert_eq!(remote.join().unwrap(), CYCLES);
-
         // Every record the owner was ever starved into creating is bounded
         // by the in-flight window (rounded up to whole chunks), not by the
         // cycle count: reclaimed records really do come back.
@@ -349,16 +184,6 @@ mod tests {
             "fresh grew to {fresh} (bound {bound}) over {CYCLES} cycles"
         );
         // And after the dust settles, everything is back in the pool.
-        unsafe {
-            let mut reclaimed = 0;
-            loop {
-                let (_, src) = slab.alloc();
-                if src == AllocSource::Fresh {
-                    break;
-                }
-                reclaimed += 1;
-            }
-            assert!(reclaimed >= fresh * CHUNK.saturating_sub(1) / CHUNK);
-        }
+        assert_eq!(unsafe { slab.free_len() }, slab.created());
     }
 }

@@ -36,17 +36,16 @@
 //! participates itself, and returns the lease only after its `taskwait`
 //! has observed every helper's completion — on unwind too, via a guard
 //! that drains the helpers before the frame's locals (which the body
-//! borrows) are popped. This is the [`GroupPool`](crate::group::GroupPool)
-//! protocol verbatim: the waiter is the owner, and an ex-participant never
-//! looks back.
+//! borrows) are popped. This is the [`crate::group`] protocol verbatim:
+//! the waiter is the owner, and an ex-participant never looks back. Like a
+//! group, the descriptor records its `home` pool shard, because the
+//! generating frame's drain can suspend and resume on another worker.
 //!
 //! [`Scope::for_each`]: crate::Scope::for_each
 
-use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-use crate::local::CacheAligned;
+use crate::freelist::Pooled;
 
 /// The signature every erased loop body is invoked through: `(body, lo,
 /// hi, scope)` runs iterations `lo..hi` of the borrowed body against the
@@ -62,6 +61,8 @@ pub(crate) struct WsLoop {
     /// owner has drained its helpers and returned the lease), so it cannot
     /// race with live-loop use.
     next: AtomicPtr<WsLoop>,
+    /// The pool shard this descriptor belongs to (immutable).
+    home: u16,
     /// Next unclaimed iteration index. The only contended word; lives in
     /// its own descriptor so claims from different loops never false-share.
     cursor: AtomicUsize,
@@ -78,10 +79,29 @@ pub(crate) struct WsLoop {
     invoke: AtomicPtr<()>,
 }
 
+// Safety: `next` is only the pool's while the descriptor is free, and
+// `home` is immutable after `fresh`.
+unsafe impl Pooled for WsLoop {
+    type Arg = ();
+
+    unsafe fn fresh(slot: *mut Self, home: usize, _: ()) {
+        slot.write(WsLoop::new(home));
+    }
+
+    fn link(&self) -> &AtomicPtr<Self> {
+        &self.next
+    }
+
+    fn home(&self) -> usize {
+        self.home as usize
+    }
+}
+
 impl WsLoop {
-    fn new() -> WsLoop {
+    fn new(home: usize) -> WsLoop {
         WsLoop {
             next: AtomicPtr::new(std::ptr::null_mut()),
+            home: home as u16,
             cursor: AtomicUsize::new(0),
             end: AtomicUsize::new(0),
             grain: AtomicUsize::new(1),
@@ -142,96 +162,10 @@ impl WsLoop {
     }
 }
 
-/// The loop-descriptor free list: one singly-linked shard per worker,
-/// **owner-only** — every push and pop targets the *calling* worker's own
-/// shard, so each shard is single-threaded and pops are plain load+store.
-/// Since the generating frame runs on a pooled continuation, its closing
-/// drain may suspend and resume on a different worker; the release then
-/// lands on *that* worker's shard (the slot is re-resolved at drop time),
-/// so descriptors migrate between shards but no shard is ever touched by
-/// two threads. Mirrors [`GroupPool`](crate::group::GroupPool).
-pub(crate) struct LoopPool {
-    shards: Box<[CacheAligned<AtomicPtr<WsLoop>>]>,
-    /// Every descriptor ever allocated (cold path; freed on drop).
-    all: Mutex<Vec<NonNull<WsLoop>>>,
-}
-
-// Safety: each shard is only ever touched by its own worker thread (see
-// the owner-only contract on `lease`/`release`); `all` is mutex-guarded;
-// `WsLoop` is all atomics. The teardown free in `Drop` happens-after
-// every worker has been joined.
-unsafe impl Send for LoopPool {}
-unsafe impl Sync for LoopPool {}
-
-impl LoopPool {
-    pub(crate) fn new(workers: usize) -> LoopPool {
-        LoopPool {
-            shards: (0..workers.max(1))
-                .map(|_| CacheAligned::default())
-                .collect(),
-            all: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Leases a descriptor. Returns the descriptor and whether it had to
-    /// be freshly allocated (`true`) or came recycled (`false`).
-    ///
-    /// Owner-only: `slot` must be the calling worker's own index (both
-    /// ends of a shard run on one thread, so the pop is a plain
-    /// load + store, no RMW).
-    pub(crate) fn lease(&self, slot: usize) -> (NonNull<WsLoop>, bool) {
-        let shard = &self.shards[slot % self.shards.len()].0;
-        if let Some(head) = NonNull::new(shard.load(Ordering::Relaxed)) {
-            let next = unsafe { head.as_ref() }.next.load(Ordering::Relaxed);
-            shard.store(next, Ordering::Relaxed);
-            return (head, false);
-        }
-        let fresh = NonNull::from(Box::leak(Box::new(WsLoop::new())));
-        self.all
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(fresh);
-        (fresh, true)
-    }
-
-    /// Returns a drained descriptor to the free list. `slot` must be the
-    /// *current* worker's index — not necessarily the leasing worker's,
-    /// because the generating frame's drain wait can migrate it — and the
-    /// caller must have drained every participant first.
-    pub(crate) fn release(&self, wsl: NonNull<WsLoop>, slot: usize) {
-        let shard = &self.shards[slot % self.shards.len()].0;
-        let head = shard.load(Ordering::Relaxed);
-        unsafe { wsl.as_ref().next.store(head, Ordering::Relaxed) };
-        shard.store(wsl.as_ptr(), Ordering::Relaxed);
-    }
-
-    /// Free descriptors currently pooled (diagnostics/tests only; racy).
-    #[cfg(test)]
-    pub(crate) fn free_len(&self) -> usize {
-        let mut n = 0;
-        for shard in self.shards.iter() {
-            let mut cur = shard.0.load(Ordering::Acquire);
-            while let Some(l) = NonNull::new(cur) {
-                n += 1;
-                cur = unsafe { l.as_ref() }.next.load(Ordering::Relaxed);
-            }
-        }
-        n
-    }
-}
-
-impl Drop for LoopPool {
-    fn drop(&mut self) {
-        let all = std::mem::take(&mut *self.all.lock().unwrap_or_else(|e| e.into_inner()));
-        for wsl in all {
-            drop(unsafe { Box::from_raw(wsl.as_ptr()) });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::freelist::ShardedPool;
 
     unsafe fn count_invoke(body: *const (), lo: usize, hi: usize, _scope: *const ()) {
         let sum = &*(body as *const AtomicUsize);
@@ -242,7 +176,7 @@ mod tests {
 
     #[test]
     fn claims_cover_the_space_exactly_once() {
-        let l = WsLoop::new();
+        let l = WsLoop::new(0);
         let sum = AtomicUsize::new(0);
         l.arm(
             0,
@@ -264,7 +198,7 @@ mod tests {
 
     #[test]
     fn empty_space_yields_no_chunks() {
-        let l = WsLoop::new();
+        let l = WsLoop::new(0);
         let sum = AtomicUsize::new(0);
         l.arm(
             5,
@@ -277,33 +211,42 @@ mod tests {
         assert_eq!(sum.load(Ordering::Relaxed), 0);
     }
 
+    fn pool(workers: usize) -> ShardedPool<WsLoop> {
+        ShardedPool::new(workers, 1, ())
+    }
+
     #[test]
     fn lease_recycles_released_descriptors() {
-        let pool = LoopPool::new(2);
-        let (a, fresh) = pool.lease(0);
-        assert!(fresh, "empty pool allocates");
-        let (b, fresh) = pool.lease(0);
-        assert!(fresh);
-        assert_ne!(a.as_ptr(), b.as_ptr());
-        pool.release(a, 0);
-        let (a2, fresh) = pool.lease(0);
-        assert!(!fresh, "released descriptor must be recycled");
-        assert_eq!(a2.as_ptr(), a.as_ptr());
-        pool.release(a2, 0);
-        pool.release(b, 1);
-        assert_eq!(pool.free_len(), 2);
+        let pool = pool(2);
+        unsafe {
+            let (a, fresh) = pool.lease(0);
+            assert!(fresh, "empty pool allocates");
+            let (b, fresh) = pool.lease(0);
+            assert!(fresh);
+            assert_ne!(a.as_ptr(), b.as_ptr());
+            pool.release(a, 0);
+            let (a2, fresh) = pool.lease(0);
+            assert!(!fresh, "released descriptor must be recycled");
+            assert_eq!(a2.as_ptr(), a.as_ptr());
+            pool.release(a2, 0);
+            // A migrated generating frame returns the lease home.
+            assert!(pool.release(b, 1));
+            assert_eq!(pool.free_len(), 2);
+        }
     }
 
     #[test]
     fn shards_do_not_alias_across_workers() {
-        let pool = LoopPool::new(2);
-        let (a, _) = pool.lease(0);
-        pool.release(a, 0);
-        // Worker 1's shard is empty: it allocates fresh rather than raid
-        // worker 0's shard (per-worker population stays worker-local).
-        let (b, fresh) = pool.lease(1);
-        assert!(fresh);
-        assert_ne!(a.as_ptr(), b.as_ptr());
-        pool.release(b, 1);
+        let pool = pool(2);
+        unsafe {
+            let (a, _) = pool.lease(0);
+            pool.release(a, 0);
+            // Worker 1's shard is empty: it allocates fresh rather than
+            // raid worker 0's shard (per-worker population stays local).
+            let (b, fresh) = pool.lease(1);
+            assert!(fresh);
+            assert_ne!(a.as_ptr(), b.as_ptr());
+            pool.release(b, 1);
+        }
     }
 }

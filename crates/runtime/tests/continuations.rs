@@ -20,7 +20,7 @@
 //!   a body that suspended earlier (or whose children panic) still
 //!   settles to balanced counters and a reusable team.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use bots_runtime::{Runtime, RuntimeConfig, Scope};
 
@@ -88,18 +88,52 @@ fn suspends_equal_resumes_at_quiescence() {
     }
 }
 
-/// A staged migration: worker A's tied task spawns children, a thief
-/// steals and completes them while A is held busy, and A's `taskwait`
-/// resumes on the thief. The post-wait assertion proves the resumed frame
-/// observed every child; the counter proves the frame really moved.
+/// A staged migration: the waiter's group member is stolen by the other
+/// worker, which retires it only once the waiter's own worker is provably
+/// busy elsewhere. The wake then queues the waiter on the thief's deque and
+/// the thief resumes it — a migration by construction, not by luck. Wide
+/// waves then check that resumed group waits observe every member.
 #[test]
 fn blocked_waiters_migrate_to_the_waking_worker() {
     static DONE: AtomicU64 = AtomicU64::new(0);
-    let rt = Runtime::with_threads(4);
+    static MEMBER_STARTED: AtomicBool = AtomicBool::new(false);
+    static BLOCKER_STARTED: AtomicBool = AtomicBool::new(false);
+    static WAITER_RESUMED: AtomicBool = AtomicBool::new(false);
+    let rt = Runtime::with_threads(2);
     let before = rt.stats();
-    // Many rounds of wide waves: with 4 workers racing on 16-child waves,
-    // some wave's last child retires on a worker other than the one that
-    // suspended the waiter (probabilistically certain across 64 rounds).
+    rt.parallel(|s| {
+        let home = s.worker_id();
+        s.taskgroup(|g| {
+            // The member: this frame keeps its worker busy until the
+            // other worker has stolen and started it.
+            g.spawn(|_| {
+                MEMBER_STARTED.store(true, Ordering::SeqCst);
+                while !BLOCKER_STARTED.load(Ordering::SeqCst) {
+                    std::hint::spin_loop();
+                }
+            });
+            while !MEMBER_STARTED.load(Ordering::SeqCst) {
+                std::hint::spin_loop();
+            }
+            // The blocker (not a group member) sits on this worker's deque:
+            // the worker can only run it once the group wait below has
+            // suspended, and it holds the worker until the waiter resumed.
+            s.spawn(|_| {
+                BLOCKER_STARTED.store(true, Ordering::SeqCst);
+                while !WAITER_RESUMED.load(Ordering::SeqCst) {
+                    std::hint::spin_loop();
+                }
+            });
+        });
+        WAITER_RESUMED.store(true, Ordering::SeqCst);
+        assert_ne!(s.worker_id(), home, "the waiter resumed on its own worker");
+    });
+    let d = rt.stats().since(&before);
+    assert!(d.cont_migrations > 0, "the staged waiter did not migrate");
+    assert_eq!(d.cont_suspends, d.cont_resumes);
+
+    // Wide waves: every resumed group wait observes all its members.
+    let rt = Runtime::with_threads(4);
     for _ in 0..64 {
         rt.parallel(|s| {
             for _ in 0..4 {
@@ -124,15 +158,38 @@ fn blocked_waiters_migrate_to_the_waking_worker() {
         });
     }
     assert_eq!(DONE.load(Ordering::Relaxed), 64 * 4 * 16);
-    let d = rt.stats().since(&before);
+    let d = rt.stats();
     assert_eq!(d.cont_suspends, d.cont_resumes);
-    assert!(
-        d.cont_migrations > 0,
-        "64 rounds of stolen waves never migrated a waiter \
-         (suspends={}, resumes={})",
-        d.cont_suspends,
-        d.cont_resumes
-    );
+}
+
+/// A frame unwinding through a group wait must not suspend: the panic in
+/// flight is counted per thread, so finishing the unwind on another worker
+/// would corrupt both workers' panic state. The unwinding wait helps in
+/// place instead, and every member still runs before the frame is left.
+#[test]
+fn unwinding_waits_help_instead_of_suspending() {
+    static MEMBERS_DONE: AtomicU64 = AtomicU64::new(0);
+    let rt = Runtime::with_threads(4);
+    let before = rt.stats();
+    for _ in 0..8 {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rt.parallel(|s| {
+                s.taskgroup(|s| {
+                    for _ in 0..16 {
+                        s.spawn(|_| {
+                            std::thread::sleep(std::time::Duration::from_micros(200));
+                            MEMBERS_DONE.fetch_add(1, Ordering::Relaxed);
+                        });
+                    }
+                    panic!("body boom");
+                });
+            });
+        }));
+        assert!(outcome.is_err());
+    }
+    assert_eq!(MEMBERS_DONE.load(Ordering::Relaxed), 8 * 16);
+    let d = rt.stats().since(&before);
+    assert_eq!(d.cont_suspends, 0, "an unwinding frame suspended");
 }
 
 /// The TSC-2 regression: a **tied** task taskwaits on a child that

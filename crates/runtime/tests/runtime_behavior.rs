@@ -66,7 +66,7 @@ fn fib_correct_under_fifo_policy() {
 
 #[test]
 fn fib_correct_without_tied_constraint() {
-    let rt = Runtime::new(RuntimeConfig::new(4).with_tied_constraint(false));
+    let rt = Runtime::new(RuntimeConfig::new(4));
     assert_eq!(run_fib(&rt, 20, 6), fib_seq(20));
 }
 
@@ -413,7 +413,7 @@ fn tied_waits_suspend_instead_of_denying_steals() {
     // entirely — the worker is free to take D (or anything else), so the
     // scenario that used to produce `tied_steal_denied` now produces
     // suspends/resumes and zero denials.
-    let rt = Runtime::new(RuntimeConfig::new(2).with_tied_constraint(true));
+    let rt = Runtime::new(RuntimeConfig::new(2));
     rt.parallel(|s| {
         let d_spawned = AtomicU64::new(0);
         let a_waiting = AtomicU64::new(0);
@@ -460,7 +460,7 @@ fn tied_waits_suspend_instead_of_denying_steals() {
 
 #[test]
 fn untied_tasks_allow_stealing_at_taskwait() {
-    let rt = Runtime::new(RuntimeConfig::new(8).with_tied_constraint(true));
+    let rt = Runtime::new(RuntimeConfig::new(8));
     rt.parallel(|s| {
         fn go(s: &Scope<'_>, n: u64, out: &AtomicU64) {
             if n < 2 {
@@ -703,11 +703,7 @@ fn taskgroup_returns_body_value() {
 /// the scenario stays as a single-worker liveness regression.
 #[test]
 fn tied_wait_probes_past_foreign_deque_bottom() {
-    let rt = Runtime::new(
-        RuntimeConfig::new(1)
-            .with_local_order(LocalOrder::Fifo)
-            .with_tied_constraint(true),
-    );
+    let rt = Runtime::new(RuntimeConfig::new(1).with_local_order(LocalOrder::Fifo));
     let h_ran = AtomicUsize::new(0);
     let f_ran = AtomicUsize::new(0);
     rt.parallel(|s| {

@@ -84,21 +84,18 @@ fn imbalanced_trees_under_all_policies() {
             RuntimeCutoff::MaxTasks { per_worker: 4 },
             RuntimeCutoff::Adaptive { low: 1, high: 4 },
         ] {
-            for constraint in [true, false] {
-                let rt = Runtime::new(
-                    RuntimeConfig::new(6)
-                        .with_local_order(order)
-                        .with_cutoff(cutoff)
-                        .with_tied_constraint(constraint),
-                );
-                let acc = AtomicU64::new(0);
-                rt.parallel(|s| skewed(s, 64, &acc));
-                assert_eq!(
-                    acc.load(Ordering::Relaxed),
-                    expect,
-                    "order={order:?} cutoff={cutoff:?} constraint={constraint}"
-                );
-            }
+            let rt = Runtime::new(
+                RuntimeConfig::new(6)
+                    .with_local_order(order)
+                    .with_cutoff(cutoff),
+            );
+            let acc = AtomicU64::new(0);
+            rt.parallel(|s| skewed(s, 64, &acc));
+            assert_eq!(
+                acc.load(Ordering::Relaxed),
+                expect,
+                "order={order:?} cutoff={cutoff:?}"
+            );
         }
     }
 }

@@ -1,15 +1,22 @@
 //! Repo automation tasks (`cargo xtask <task>`, via the `.cargo/config.toml`
 //! alias). Two tasks, both CI-required:
 //!
-//! * **`lint`** — the atomic-ordering audit of the five lock-free protocol
-//!   files (`injector.rs`, `slab.rs`, `group.rs`, `deps.rs`, `cont.rs`):
-//!   every `Ordering::Relaxed` in non-test code must carry a
-//!   `// relaxed-ok:` justification (same line or within the six preceding
-//!   lines) and every `compare_exchange` a `// transition:` comment
-//!   stating the protocol-state transition the CAS performs. Unjustified
-//!   orderings fail the build: a Relaxed that nobody can justify is either
-//!   a latent reordering bug or a missing piece of the protocol's
-//!   documentation, and both block merging.
+//! * **`lint`** — two audits of the runtime sources:
+//!   - the atomic-ordering audit of the five lock-free protocol files
+//!     (`injector.rs`, `freelist.rs`, `group.rs`, `deps.rs`, `cont.rs`):
+//!     every `Ordering::Relaxed` in non-test code must carry a
+//!     `// relaxed-ok:` justification (same line or within the six
+//!     preceding lines) and every `compare_exchange` a `// transition:`
+//!     comment stating the protocol-state transition the CAS performs.
+//!     Unjustified orderings fail the build: a Relaxed that nobody can
+//!     justify is either a latent reordering bug or a missing piece of
+//!     the protocol's documentation, and both block merging;
+//!   - the thread-local audit of every `crates/runtime/src` file: a
+//!     `thread_local!` static may only be accessed inside an
+//!     `#[inline(never)]` function. Task bodies run on fibers that can
+//!     suspend on one worker and resume on another; an inlined access lets
+//!     the compiler reuse the thread-local address computed before the
+//!     switch, i.e. the previous thread's slot.
 //!
 //! * **`tla-check`** — sanity for the TLA+ specs under `specs/tla/`: each
 //!   spec must exist, its `MODULE` header must match the filename, the
@@ -26,7 +33,7 @@ use std::process::ExitCode;
 /// workspace root.
 const PROTOCOL_FILES: [&str; 5] = [
     "crates/runtime/src/injector.rs",
-    "crates/runtime/src/slab.rs",
+    "crates/runtime/src/freelist.rs",
     "crates/runtime/src/group.rs",
     "crates/runtime/src/deps.rs",
     "crates/runtime/src/cont.rs",
@@ -45,6 +52,9 @@ const TLA_SPECS: [(&str, &[&str]); 2] = [
     ),
 ];
 
+/// The directory whose sources the thread-local audit covers.
+const RUNTIME_SRC: &str = "crates/runtime/src";
+
 /// How many lines above an atomic op a justification comment may sit.
 const LOOKBACK: usize = 6;
 
@@ -53,7 +63,7 @@ fn main() -> ExitCode {
     let task = args.next().unwrap_or_default();
     let root = workspace_root();
     match task.as_str() {
-        "lint" => run_ordering_lint(&root),
+        "lint" => run_lint(&root),
         "tla-check" => run_tla_check(&root),
         other => {
             eprintln!("unknown task '{other}'; available: lint, tla-check");
@@ -85,27 +95,44 @@ fn workspace_root() -> PathBuf {
     }
 }
 
-fn run_ordering_lint(root: &Path) -> ExitCode {
+fn run_lint(root: &Path) -> ExitCode {
+    let read = |rel: &str| {
+        std::fs::read_to_string(root.join(rel)).map_err(|e| format!("cannot read {rel}: {e}"))
+    };
     let mut violations = Vec::new();
     for rel in PROTOCOL_FILES {
-        let path = root.join(rel);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("lint: cannot read {rel}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        violations.extend(
-            lint_file(&text)
-                .into_iter()
-                .map(|v| format!("{rel}:{}: {}", v.line, v.what)),
-        );
+        match read(rel) {
+            Ok(text) => violations.extend(
+                lint_file(&text)
+                    .into_iter()
+                    .map(|v| format!("{rel}:{}: {}", v.line, v.what)),
+            ),
+            Err(e) => violations.push(e),
+        }
+    }
+    let runtime_files = match runtime_sources(root) {
+        Ok(files) => files,
+        Err(e) => {
+            eprintln!("lint: cannot list {RUNTIME_SRC}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    for rel in &runtime_files {
+        match read(rel) {
+            Ok(text) => violations.extend(
+                lint_thread_locals(&text)
+                    .into_iter()
+                    .map(|v| format!("{rel}:{}: {}", v.line, v.what)),
+            ),
+            Err(e) => violations.push(e),
+        }
     }
     if violations.is_empty() {
         println!(
-            "ordering lint: {} protocol files clean (every Relaxed justified, every CAS documented)",
-            PROTOCOL_FILES.len()
+            "lint: {} protocol files clean (every Relaxed justified, every CAS documented); \
+             {} runtime files access thread-locals only from #[inline(never)] fns",
+            PROTOCOL_FILES.len(),
+            runtime_files.len()
         );
         ExitCode::SUCCESS
     } else {
@@ -113,15 +140,121 @@ fn run_ordering_lint(root: &Path) -> ExitCode {
             eprintln!("lint: {v}");
         }
         eprintln!(
-            "\nordering lint: {} violation(s). Every `Ordering::Relaxed` in a protocol \
-             file needs a `// relaxed-ok: <why>` comment and every `compare_exchange` a \
+            "\nlint: {} violation(s). Every `Ordering::Relaxed` in a protocol file needs a \
+             `// relaxed-ok: <why>` comment and every `compare_exchange` a \
              `// transition: <state change>` comment, on the same line or within the {} \
-             lines above.",
+             lines above. Every `thread_local!` access in {RUNTIME_SRC} must sit in an \
+             `#[inline(never)]` fn.",
             violations.len(),
             LOOKBACK
         );
         ExitCode::FAILURE
     }
+}
+
+/// The runtime's `.rs` sources, relative to the root, sorted.
+fn runtime_sources(root: &Path) -> std::io::Result<Vec<String>> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(root.join(RUNTIME_SRC))? {
+        let name = entry?.file_name().to_string_lossy().into_owned();
+        if name.ends_with(".rs") {
+            files.push(format!("{RUNTIME_SRC}/{name}"));
+        }
+    }
+    files.sort();
+    Ok(files)
+}
+
+/// Audits one file's thread-local accesses (non-test region, as for the
+/// ordering lint): every use of a static declared in a `thread_local!`
+/// block must sit inside a function whose attributes include
+/// `#[inline(never)]`. The enclosing function is the nearest `fn` line
+/// above the use with smaller indentation.
+fn lint_thread_locals(text: &str) -> Vec<Violation> {
+    let lines: Vec<&str> = text
+        .lines()
+        .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
+        .collect();
+    let names = thread_local_names(&lines);
+    let mut out = Vec::new();
+    for (idx, line) in lines.iter().enumerate() {
+        let code = split_comment(line).0;
+        if !names.iter().any(|n| uses_ident(code, n, '.')) {
+            continue;
+        }
+        let indent = indentation(line);
+        let fn_line = (0..idx)
+            .rev()
+            .find(|&i| indentation(lines[i]) < indent && declares_fn(split_comment(lines[i]).0));
+        let never_inlined = fn_line.is_some_and(|f| {
+            lines[..f]
+                .iter()
+                .rev()
+                .map(|l| l.trim_start())
+                .take_while(|l| l.starts_with("#[") || l.starts_with("//"))
+                .any(|l| l.starts_with("#[inline(never)]"))
+        });
+        if !never_inlined {
+            out.push(Violation {
+                line: idx + 1,
+                what: "thread-local accessed outside an #[inline(never)] fn",
+            });
+        }
+    }
+    out
+}
+
+/// Names of the statics declared inside `thread_local!` blocks.
+fn thread_local_names(lines: &[&str]) -> Vec<String> {
+    let mut names = Vec::new();
+    let mut depth: Option<i32> = None;
+    for line in lines {
+        let code = split_comment(line).0;
+        if depth.is_none() && code.contains("thread_local!") {
+            depth = Some(0);
+        }
+        if let Some(d) = depth.as_mut() {
+            if let Some(rest) = code.trim_start().strip_prefix("static ") {
+                let name: String = rest
+                    .chars()
+                    .take_while(|c| c.is_alphanumeric() || *c == '_')
+                    .collect();
+                names.push(name);
+            }
+            *d += code.matches('{').count() as i32 - code.matches('}').count() as i32;
+            if *d <= 0 && code.contains('}') {
+                depth = None;
+            }
+        }
+    }
+    names
+}
+
+/// Does `code` contain `name` as a whole identifier followed by `next`?
+fn uses_ident(code: &str, name: &str, next: char) -> bool {
+    code.match_indices(name).any(|(i, _)| {
+        let before = code[..i].chars().next_back();
+        let after = code[i + name.len()..].chars().next();
+        !before.is_some_and(|c| c.is_alphanumeric() || c == '_') && after == Some(next)
+    })
+}
+
+/// Does this line of code declare a function?
+fn declares_fn(code: &str) -> bool {
+    code.split_whitespace()
+        .collect::<Vec<_>>()
+        .windows(2)
+        .any(|w| {
+            w[0] == "fn"
+                && w[1]
+                    .chars()
+                    .next()
+                    .is_some_and(|c| c.is_alphabetic() || c == '_')
+        })
+}
+
+fn indentation(line: &str) -> usize {
+    line.len() - line.trim_start().len()
 }
 
 /// One lint finding: the 1-based line and what is missing.
@@ -352,6 +485,69 @@ mod tests {
 }
 ";
         assert!(lint_file(src).is_empty());
+    }
+
+    const TL_DECL: &str = "\
+thread_local! {
+    static SLOT: Cell<usize> = const { Cell::new(0) };
+}
+";
+
+    #[test]
+    fn inlined_thread_local_accessor_fails() {
+        let src = format!(
+            "{TL_DECL}
+#[inline]
+fn slot() -> usize {{
+    SLOT.with(|s| s.get())
+}}
+"
+        );
+        let v = lint_thread_locals(&src);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].line, 7);
+        assert!(v[0].what.contains("inline(never)"));
+        // No attribute at all is just as inlinable.
+        let bare = format!("{TL_DECL}fn slot() -> usize {{\n    SLOT.with(|s| s.get())\n}}\n");
+        assert_eq!(lint_thread_locals(&bare).len(), 1);
+    }
+
+    #[test]
+    fn never_inlined_thread_local_accessor_passes() {
+        let src = format!(
+            "{TL_DECL}
+/// Reads the slot.
+#[inline(never)]
+pub(crate) fn slot() -> usize {{
+    SLOT.with(|s| {{
+        s.get()
+    }})
+}}
+"
+        );
+        assert!(lint_thread_locals(&src).is_empty());
+    }
+
+    #[test]
+    fn thread_local_names_are_whole_identifiers() {
+        let src = format!("{TL_DECL}fn f() {{\n    MY_SLOT.with(|s| s.get());\n}}\n");
+        assert!(lint_thread_locals(&src).is_empty());
+    }
+
+    #[test]
+    fn the_shipped_runtime_accesses_thread_locals_out_of_line() {
+        let root = workspace_root();
+        let files = runtime_sources(&root).expect("list runtime sources");
+        assert!(files.iter().any(|f| f.ends_with("pool.rs")));
+        for rel in files {
+            let text = std::fs::read_to_string(root.join(&rel)).unwrap();
+            let v = lint_thread_locals(&text);
+            assert!(
+                v.is_empty(),
+                "{rel}: {:?}",
+                v.iter().map(|x| x.line).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]

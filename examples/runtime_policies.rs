@@ -36,10 +36,6 @@ fn main() {
             "breadth-first queues",
             RuntimeConfig::new(threads).with_local_order(LocalOrder::Fifo),
         ),
-        (
-            "tied constraint off",
-            RuntimeConfig::new(threads).with_tied_constraint(false),
-        ),
     ];
 
     println!("fib({n}) with unbounded task creation, {threads} threads\n");

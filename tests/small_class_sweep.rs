@@ -24,9 +24,7 @@ fn small_class_exotic_runtime_configs() {
     let configs = [
         RuntimeConfig::new(2).with_local_order(LocalOrder::Fifo),
         RuntimeConfig::new(16).with_cutoff(RuntimeCutoff::MaxLocalQueue { max_len: 4 }),
-        RuntimeConfig::new(3)
-            .with_cutoff(RuntimeCutoff::Adaptive { low: 1, high: 2 })
-            .with_tied_constraint(false),
+        RuntimeConfig::new(3).with_cutoff(RuntimeCutoff::Adaptive { low: 1, high: 2 }),
     ];
     for config in configs {
         let rt = Runtime::new(config);

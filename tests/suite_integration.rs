@@ -124,7 +124,6 @@ fn runs_verify_under_fifo_policy_and_runtime_cutoffs() {
         RuntimeConfig::new(4).with_local_order(LocalOrder::Fifo),
         RuntimeConfig::new(4).with_cutoff(RuntimeCutoff::MaxTasks { per_worker: 16 }),
         RuntimeConfig::new(4).with_cutoff(RuntimeCutoff::Adaptive { low: 4, high: 32 }),
-        RuntimeConfig::new(4).with_tied_constraint(false),
     ];
     for config in configs {
         let rt = Runtime::new(config);
